@@ -692,10 +692,9 @@ int main(int argc, char** argv) {
       }
     }
 
+    // The daemon as shipped: default worker and sampler-pool sizing.
     server::ServerOptions server_options;
     server_options.port = 0;
-    server_options.worker_threads = 2;
-    server_options.engine_threads = 1;
     server_options.max_queue = 256;
     server_options.default_tenant_budget = 100.0;
     auto daemon = server::Server::Start(server_options);

@@ -69,6 +69,10 @@ std::vector<double> ComputeAcceptanceProbabilities(
   return acceptance;
 }
 
+int SamplerPoolWorkers(int threads) {
+  return std::min(util::ResolveThreadCount(threads), kSamplerProposalShards);
+}
+
 namespace {
 
 // The fixed shard count of the parallel hot path (kSamplerProposalShards,
@@ -76,12 +80,6 @@ namespace {
 // `threads` shards — so the per-shard random sub-streams, and therefore the
 // merged output, do not depend on how many workers happen to execute them.
 constexpr int kProposalShards = kSamplerProposalShards;
-
-// Worker count for the sampler's persistent pool: the hardware concurrency
-// (or the explicit request), never more than the shard count.
-int SamplerWorkers(int threads) {
-  return std::min(util::ResolveThreadCount(threads), kProposalShards);
-}
 
 // The per-sample invariants of the sharded FCL path, built once per
 // SampleAgmGraph call and reused across every acceptance iteration: the pi
@@ -112,6 +110,15 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
   return plan;
 }
 
+// The result of one proposal pass: the shards' accepted edges merged in
+// shard order, cross-shard duplicates dropped, cut at the target — the
+// edges AddEdge would keep, in the order it would keep them — and their
+// packed keys.
+struct MergedPass {
+  std::vector<graph::Edge> edges;
+  util::FlatEdgeSet keys;
+};
+
 // One sharded proposal pass of the parallel Fast Chung-Lu sampler. Shard s
 // draws exclusively from util::Rng::Substream(seed_base, stream_offset + s)
 // and collects its accepted edges locally (deduplicating, like the
@@ -120,19 +127,17 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
 // cross-shard duplicates dropped. Every quantity here is a function of
 // (seed_base, stream_offset) alone — the pool only changes which worker
 // runs which shard.
-graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
-                                 graph::NodeId n, uint64_t target_edges,
-                                 uint64_t max_proposals_per_edge,
-                                 const models::EdgeFilter& filter,
-                                 util::WorkerPool& pool, uint64_t seed_base,
-                                 uint64_t stream_offset,
-                                 std::vector<graph::Edge>* insertion_order) {
-  if (insertion_order != nullptr) insertion_order->clear();
+MergedPass ShardedProposalPass(const util::AliasSampler& sampler,
+                               graph::NodeId n, uint64_t target_edges,
+                               uint64_t max_proposals_per_edge,
+                               const models::EdgeFilter& filter,
+                               util::WorkerPool& pool, uint64_t seed_base,
+                               uint64_t stream_offset) {
   // A simple graph over n nodes cannot hold more edges than this; clamping
   // the caller's raw target bounds every quota- and reservation-derived
   // allocation below.
   target_edges = std::min(target_edges, graph::MaxPossibleEdges(n));
-  if (target_edges == 0) return graph::Graph(n);
+  if (target_edges == 0) return {};
 
   // Over-provision each shard a little beyond target/shards: cross-shard
   // duplicates only surface at merge time, and the surplus lets the merge
@@ -165,21 +170,31 @@ graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
     }
   });
 
-  graph::Graph g(n);
-  g.ReserveEdges(target_edges);
+  MergedPass merged{{}, util::FlatEdgeSet(target_edges)};
+  merged.edges.reserve(target_edges);
   for (const auto& shard : accepted) {
     for (const graph::Edge& e : shard) {
-      if (g.num_edges() >= target_edges) return g;
-      if (g.AddEdge(e.u, e.v) && insertion_order != nullptr) {
-        insertion_order->push_back(e);
+      if (merged.edges.size() >= target_edges) return merged;
+      if (merged.keys.Insert(graph::PackEdge(e.u, e.v))) {
+        merged.edges.push_back(e);
       }
     }
   }
+  return merged;
+}
+
+// The graph of a merged pass (each adjacency list allocated once, at its
+// exact degree), reporting its edges in merge order when asked.
+graph::Graph PassGraph(graph::NodeId n, MergedPass pass,
+                       std::vector<graph::Edge>* insertion_order) {
+  graph::Graph g =
+      graph::Graph::FromDistinctEdges(n, pass.edges, std::move(pass.keys));
+  if (insertion_order != nullptr) *insertion_order = std::move(pass.edges);
   return g;
 }
 
 // Parallel counterpart of models::FastChungLu, including the cFCL hub
-// calibration pass (same reweighting rule; the pilot graph it reads is the
+// calibration pass (same reweighting rule; the pilot pass it reads is the
 // deterministic shard merge, so the calibration is reproducible too). The
 // second pass uses the next block of sub-streams. The first pass reuses the
 // plan's prebuilt alias table; only the calibrated pass, whose weights
@@ -194,12 +209,20 @@ util::Result<graph::Graph> ShardedFastChungLu(
     return graph::Graph(n);
   }
 
-  graph::Graph first = ShardedProposalPass(
+  MergedPass first = ShardedProposalPass(
       *plan.sampler, n, plan.target, options.max_proposals_per_edge,
-      options.filter, pool, seed_base, /*stream_offset=*/0,
-      options.insertion_order);
-  if (!options.bias_correction) return first;
+      options.filter, pool, seed_base, /*stream_offset=*/0);
+  if (!options.bias_correction) {
+    return PassGraph(n, std::move(first), options.insertion_order);
+  }
 
+  // The reweighting reads only the pilot's realized degrees, so the pilot
+  // is tallied, never built into a Graph.
+  std::vector<uint32_t> realized(n, 0);
+  for (const graph::Edge& e : first.edges) {
+    ++realized[e.u];
+    ++realized[e.v];
+  }
   const double avg_degree = static_cast<double>(plan.total_degree) /
                             static_cast<double>(degrees.size());
   const double hub_threshold = std::max(10.0, 3.0 * avg_degree);
@@ -208,23 +231,25 @@ util::Result<graph::Graph> ShardedFastChungLu(
   for (size_t i = 0; i < weights.size(); ++i) {
     const double desired = degrees[i];
     if (weights[i] <= 0.0 || desired <= hub_threshold) continue;
-    const double realized = std::max(
-        1.0, static_cast<double>(first.Degree(static_cast<graph::NodeId>(i))));
-    const double ratio = std::clamp(desired / realized, 1.0, 4.0);
+    const double ratio = std::clamp(
+        desired / std::max(1.0, static_cast<double>(realized[i])), 1.0, 4.0);
     if (ratio > 1.0 + 1e-9) any_adjusted = true;
     weights[i] *= ratio;
   }
-  if (!any_adjusted) return first;
+  if (!any_adjusted) {
+    return PassGraph(n, std::move(first), options.insertion_order);
+  }
+  // Free the pilot's edges and keys before the second pass allocates.
+  first = MergedPass{};
 
   auto calibrated = util::AliasSampler::Build(weights);
   if (!calibrated.ok()) return calibrated.status();
-  // The calibrated pass re-clears insertion_order, so the caller sees only
-  // the returned graph's edges, in merge order.
-  return ShardedProposalPass(calibrated.value(), n, plan.target,
-                             options.max_proposals_per_edge, options.filter,
-                             pool, seed_base,
-                             /*stream_offset=*/kProposalShards,
-                             options.insertion_order);
+  return PassGraph(
+      n,
+      ShardedProposalPass(calibrated.value(), n, plan.target,
+                          options.max_proposals_per_edge, options.filter,
+                          pool, seed_base, /*stream_offset=*/kProposalShards),
+      options.insertion_order);
 }
 
 // Θ'F counted over the pool's workers (node-range partition; exact integer
@@ -304,7 +329,7 @@ util::Result<graph::Graph> GenerateStructure(
 
 std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
                                   int threads) {
-  util::WorkerPool pool(SamplerWorkers(threads));
+  util::WorkerPool pool(SamplerPoolWorkers(threads));
   return MeasureThetaFWithPool(g, pool);
 }
 
@@ -333,7 +358,7 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
   std::optional<util::WorkerPool> owned_pool;
   util::WorkerPool* pool_ptr = options.pool;
   if (pool_ptr == nullptr) {
-    owned_pool.emplace(SamplerWorkers(options.threads));
+    owned_pool.emplace(SamplerPoolWorkers(options.threads));
     pool_ptr = &*owned_pool;
   }
   util::WorkerPool& pool = *pool_ptr;

@@ -33,10 +33,13 @@ enum class StructuralModelKind { kFcl, kTriCycLe };
 
 /// The fixed shard count of the sampler's parallel hot path (work is always
 /// split into this many shards, never into `threads` shards — the
-/// determinism contract). Exported so pool-owning callers
-/// (pipeline::ReleaseEngine) can cap their worker counts at the number of
-/// shards that can ever run at once.
+/// determinism contract).
 inline constexpr int kSamplerProposalShards = 64;
+
+/// Workers of a sampler pool sized for a `threads` request (<= 0 = the
+/// available cores), capped at kSamplerProposalShards: more could never be
+/// busy at once. Every pool-owning caller sizes its pool with this.
+int SamplerPoolWorkers(int threads);
 
 /// The three AGM parameter sets (plus w); ΘM is the degree sequence and —
 /// for TriCycLe — the triangle count.

@@ -1,12 +1,33 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/check.h"
 
 namespace agmdp::graph {
 
 Graph::Graph(NodeId num_nodes) : adj_(num_nodes) {}
+
+Graph Graph::FromDistinctEdges(NodeId num_nodes,
+                               const std::vector<Edge>& edges,
+                               util::FlatEdgeSet keys) {
+  AGMDP_CHECK(keys.size() == edges.size());
+  Graph g(num_nodes);
+  std::vector<uint32_t> degree(num_nodes, 0);
+  for (const Edge& e : edges) {
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) g.adj_[v].reserve(degree[v]);
+  for (const Edge& e : edges) {
+    g.adj_[e.u].push_back(e.v);
+    g.adj_[e.v].push_back(e.u);
+  }
+  g.edge_set_ = std::move(keys);
+  g.num_edges_ = edges.size();
+  return g;
+}
 
 bool Graph::AddEdge(NodeId u, NodeId v) {
   if (u == v || u >= num_nodes() || v >= num_nodes()) return false;
@@ -52,10 +73,17 @@ uint32_t Graph::MaxDegree() const {
 }
 
 std::vector<Edge> Graph::CanonicalEdges() const {
+  // Edges are emitted u by u, so sorting each u's run by v yields the
+  // lexicographic order without sorting the whole list.
   std::vector<Edge> edges;
   edges.reserve(num_edges_);
-  ForEachEdge([&edges](NodeId u, NodeId v) { edges.emplace_back(u, v); });
-  std::sort(edges.begin(), edges.end());
+  for (NodeId u = 0; u < num_nodes(); ++u) {
+    const size_t run = edges.size();
+    for (NodeId v : adj_[u]) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+    std::sort(edges.begin() + static_cast<ptrdiff_t>(run), edges.end());
+  }
   return edges;
 }
 

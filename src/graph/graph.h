@@ -61,6 +61,15 @@ class Graph {
   /// Creates an empty graph with `num_nodes` isolated nodes.
   explicit Graph(NodeId num_nodes);
 
+  /// The graph AddEdge over `edges`, in order, would build — same adjacency
+  /// lists in the same order — with each list allocated once at its exact
+  /// degree instead of grown by doubling. `edges` must be distinct,
+  /// loop-free and in range, and `keys` must hold exactly their packed keys
+  /// (the set that deduplicated them); the graph adopts it as its edge set.
+  static Graph FromDistinctEdges(NodeId num_nodes,
+                                 const std::vector<Edge>& edges,
+                                 util::FlatEdgeSet keys);
+
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
   uint64_t num_edges() const { return num_edges_; }
 
@@ -93,6 +102,7 @@ class Graph {
 
   /// All edges in canonical (lexicographically sorted) order. Definition 2's
   /// truncation operator and deterministic iteration rely on this order.
+  /// Sorts each node's higher neighbours, never the whole edge list.
   std::vector<Edge> CanonicalEdges() const;
 
   /// Invokes fn(u, v) once per edge with u < v, in adjacency order (not

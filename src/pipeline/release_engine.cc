@@ -1,6 +1,5 @@
 #include "src/pipeline/release_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/mechanisms/release_mechanism.h"
@@ -15,9 +14,6 @@ namespace {
 /// engines built from the same artifact calibrate identically — at any
 /// pool size, on any machine.
 constexpr uint64_t kCalibrationSeed = 0xa6dca11b7a7e5eedULL;
-
-/// More workers than sampler shards can never be scheduled at once.
-constexpr int kMaxPoolWorkers = agm::kSamplerProposalShards;
 
 }  // namespace
 
@@ -46,7 +42,7 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     if (!sampler.ok()) return sampler.status();
     std::unique_ptr<ReleaseEngine> engine(
         new ReleaseEngine(std::move(artifact), options,
-                          agm::AgmSampleOptions{}, /*pool_workers=*/1));
+                          agm::AgmSampleOptions{}, /*owned_pool_workers=*/0));
     engine->sampler_ = std::move(sampler).value();
     return engine;
   }
@@ -75,14 +71,14 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     base.generator = spec->generator;
   }
 
-  const int pool_workers =
-      std::min(util::ResolveThreadCount(options.threads), kMaxPoolWorkers);
+  const int owned_pool_workers =
+      options.pool != nullptr ? 0 : agm::SamplerPoolWorkers(options.threads);
   std::unique_ptr<ReleaseEngine> engine(new ReleaseEngine(
-      std::move(artifact), options, std::move(base), pool_workers));
+      std::move(artifact), options, std::move(base), owned_pool_workers));
 
   if (options.calibrate && engine->base_options_.acceptance_iterations > 0) {
     agm::AgmSampleOptions calibration = engine->base_options_;
-    calibration.pool = &engine->pool_;
+    calibration.pool = engine->pool_;
     calibration.final_acceptance = &engine->calibrated_acceptance_;
     util::Rng rng = util::Rng::Substream(
         kCalibrationSeed, engine->artifact_.config_fingerprint);
@@ -96,16 +92,22 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
 ReleaseEngine::ReleaseEngine(ReleaseArtifact artifact,
                              const EngineOptions& options,
                              agm::AgmSampleOptions base_options,
-                             int pool_workers)
+                             int owned_pool_workers)
     : artifact_(std::move(artifact)),
       options_(options),
       base_options_(std::move(base_options)),
-      pool_(pool_workers) {}
+      pool_(options.pool) {
+  if (owned_pool_workers > 0) {
+    owned_pool_.emplace(owned_pool_workers);
+    pool_ = &*owned_pool_;
+  }
+}
 
 uint64_t ReleaseEngine::ApproxBytes() const {
   // Per-worker overhead approximates a parked thread: kernel stack plus
   // pool bookkeeping. Deliberately round — the cache budget is a resource
-  // guardrail, not an allocator audit.
+  // guardrail, not an allocator audit. Only an owned pool counts: a
+  // borrowed one is shared, and its owner carries it.
   constexpr uint64_t kPerWorkerBytes = 64 * 1024;
   if (sampler_ != nullptr) {
     return EstimateArtifactBytes(artifact_) + sampler_->ApproxBytes() +
@@ -113,7 +115,9 @@ uint64_t ReleaseEngine::ApproxBytes() const {
   }
   return EstimateArtifactBytes(artifact_) +
          calibrated_acceptance_.size() * sizeof(double) +
-         static_cast<uint64_t>(pool_.num_workers()) * kPerWorkerBytes +
+         (owned_pool_ ? static_cast<uint64_t>(owned_pool_->num_workers())
+                      : 0) *
+             kPerWorkerBytes +
          sizeof(ReleaseEngine);
 }
 
@@ -145,8 +149,7 @@ util::Result<graph::AttributedGraph> ReleaseEngine::Sample(
     resolved.threads = 1;
     return agm::SampleAgmGraph(artifact_.params, resolved, rng);
   }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  resolved.pool = &pool_;
+  resolved.pool = pool_;
   return agm::SampleAgmGraph(artifact_.params, resolved, rng);
 }
 
@@ -177,8 +180,7 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
     // affects bits, so the result is identical either way.
     agm::AgmSampleOptions resolved = RequestOptions(base.refine_iterations);
     util::Rng rng = util::Rng::Substream(base.seed, base.sequence);
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    resolved.pool = &pool_;
+    resolved.pool = pool_;
     auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
     if (!sample.ok()) return sample.status();
     std::vector<graph::AttributedGraph> graphs;
@@ -187,24 +189,20 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
   }
   std::vector<graph::AttributedGraph> graphs(static_cast<size_t>(n));
   std::vector<util::Status> statuses(static_cast<size_t>(n));
-  {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    pool_.Run(n, [&](int i) {
-      // Task i is exactly Sample({seed, sequence + i, refine, threads: 1})
-      // — a pure function of the request, so scheduling cannot change it.
-      agm::AgmSampleOptions resolved =
-          RequestOptions(base.refine_iterations);
-      resolved.threads = 1;
-      util::Rng rng = util::Rng::Substream(
-          base.seed, base.sequence + static_cast<uint64_t>(i));
-      auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
-      if (sample.ok()) {
-        graphs[static_cast<size_t>(i)] = std::move(sample).value();
-      } else {
-        statuses[static_cast<size_t>(i)] = sample.status();
-      }
-    });
-  }
+  pool_->Run(n, [&](int i) {
+    // Task i is exactly Sample({seed, sequence + i, refine, threads: 1})
+    // — a pure function of the request, so scheduling cannot change it.
+    agm::AgmSampleOptions resolved = RequestOptions(base.refine_iterations);
+    resolved.threads = 1;
+    util::Rng rng = util::Rng::Substream(
+        base.seed, base.sequence + static_cast<uint64_t>(i));
+    auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
+    if (sample.ok()) {
+      graphs[static_cast<size_t>(i)] = std::move(sample).value();
+    } else {
+      statuses[static_cast<size_t>(i)] = sample.status();
+    }
+  });
   for (const util::Status& status : statuses) {
     if (!status.ok()) return status;
   }
@@ -215,8 +213,7 @@ util::Result<graph::AttributedGraph> ReleaseEngine::SampleFromStream(
     util::Rng& rng) const {
   if (sampler_ != nullptr) return sampler_->Sample(rng);
   agm::AgmSampleOptions resolved = RequestOptions(/*refine_iterations=*/-1);
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  resolved.pool = &pool_;
+  resolved.pool = pool_;
   return agm::SampleAgmGraph(artifact_.params, resolved, rng);
 }
 

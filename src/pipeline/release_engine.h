@@ -7,7 +7,8 @@
 // everything that does not depend on the individual sample:
 //
 //   * one persistent util::WorkerPool for the sampler hot path (no thread
-//     spawn per request);
+//     spawn per request) — its own, or one borrowed from the caller (the
+//     serving daemon shares one pool across every engine it builds);
 //   * optionally, one calibration run at construction whose converged
 //     acceptance vector A warm-starts every request — steady-state serving
 //     then generates the structure once through the calibrated filter
@@ -24,7 +25,7 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
@@ -41,8 +42,14 @@ namespace agmdp::pipeline {
 
 struct EngineOptions {
   /// Serving pool workers (0 = hardware concurrency, capped at the sampler
-  /// shard count). The pool size never affects sampled bits.
+  /// shard count). The pool size never affects sampled bits. Ignored when
+  /// `pool` is set.
   int threads = 0;
+  /// Borrowed serving pool. Null (the default): the engine spawns and owns
+  /// a pool of `threads` workers. Set: the engine spawns none and runs on
+  /// this one, which must outlive it — plumbing for the serving daemon,
+  /// which builds every engine on its one shared pool.
+  util::WorkerPool* pool = nullptr;
   /// Run one calibration sample at construction (full acceptance loop,
   /// from the fixed calibration substream) and warm-start every request
   /// with its converged acceptance vector. Disable to reproduce the
@@ -68,7 +75,7 @@ struct SampleRequest {
   int refine_iterations = -1;
   /// Intra-sample sampler workers: 1 (default) runs inline on the calling
   /// thread — fully concurrent with other requests; > 1 borrows the
-  /// engine pool (requests then serialize on it). Never changes the bits.
+  /// engine pool (requests then take turns on it). Never changes the bits.
   int threads = 1;
 };
 
@@ -95,11 +102,13 @@ class ReleaseEngine {
   const ReleaseArtifact& artifact() const { return artifact_; }
 
   /// Approximate resident bytes of this serving handle: the artifact's
-  /// parameter vectors plus the calibrated acceptance vector and a fixed
-  /// per-pool-worker overhead (thread stack + bookkeeping). The sizing
-  /// hook the server's byte-budgeted engine cache charges admissions by;
-  /// an estimate, not an audit — stable for a given artifact and pool
-  /// size, which is what budget arithmetic needs.
+  /// parameter vectors plus the calibrated acceptance vector and, for a
+  /// pool the engine owns, a fixed per-worker overhead (thread stack +
+  /// bookkeeping). A borrowed pool is charged to its owner, not to every
+  /// engine that runs on it. The sizing hook the server's byte-budgeted
+  /// engine cache charges admissions by; an estimate, not an audit —
+  /// stable for a given artifact and pool size, which is what budget
+  /// arithmetic needs.
   uint64_t ApproxBytes() const;
 
   /// Whether requests are served from a calibrated acceptance vector.
@@ -122,13 +131,15 @@ class ReleaseEngine {
 
   /// Samples consuming the caller's master stream instead of a request
   /// substream — the contract of the legacy pipeline::SampleRelease, which
-  /// wraps this. Thread-safe, but concurrent callers serialize on the
+  /// wraps this. Thread-safe, but concurrent callers take turns on the
   /// engine pool.
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:
+  /// Runs on options.pool, or on an owned pool of `owned_pool_workers`
+  /// when that is > 0.
   ReleaseEngine(ReleaseArtifact artifact, const EngineOptions& options,
-                agm::AgmSampleOptions base_options, int pool_workers);
+                agm::AgmSampleOptions base_options, int owned_pool_workers);
 
   /// The resolved sampler options for one request (warm start + refinement
   /// count applied when calibrated).
@@ -146,11 +157,13 @@ class ReleaseEngine {
   /// use the sampler path below). When set, every Sample* method
   /// delegates to it.
   std::shared_ptr<const mechanisms::ArtifactSampler> sampler_;
-  /// The persistent serving pool. WorkerPool::Run is not reentrant, so
-  /// every use holds pool_mutex_; requests with threads <= 1 never touch
-  /// it and run fully concurrently.
-  mutable std::mutex pool_mutex_;
-  mutable util::WorkerPool pool_;
+  /// The persistent serving pool, when the engine owns it.
+  std::optional<util::WorkerPool> owned_pool_;
+  /// The pool every pooled request runs on: &*owned_pool_ or the borrowed
+  /// EngineOptions::pool (unused by non-AGM mechanisms). Concurrent users
+  /// take turns inside WorkerPool::Run; requests with threads <= 1 never
+  /// touch it and run fully concurrently.
+  util::WorkerPool* pool_ = nullptr;
 };
 
 }  // namespace agmdp::pipeline

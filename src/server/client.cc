@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -71,6 +72,10 @@ util::Result<Client> Client::Connect(const std::string& host, int port,
   }
   // After connecting, sends use the io timeout, not the connect timeout.
   SetSocketTimeout(fd, SO_SNDTIMEO, options.io_timeout_ms);
+  // Requests are whole lines written at once; with Nagle a pipelined second
+  // request would wait for the daemon's delayed ACK of the first.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Client(fd);
 }
 

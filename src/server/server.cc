@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <utility>
 
+#include "src/agm/agm_sampler.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/graph_source.h"
 #include "src/pipeline/release_artifact.h"
@@ -113,6 +115,7 @@ util::Result<std::unique_ptr<Server>> Server::Start(
 
 Server::Server(const ServerOptions& options)
     : options_(options),
+      sampler_pool_(agm::SamplerPoolWorkers(options.engine_threads)),
       cache_(options.cache_bytes),
       ledger_(TenantLedgerOptions{options.default_tenant_budget,
                                   options.tenant_budgets}) {}
@@ -200,6 +203,10 @@ void Server::ListenLoop() {
     // Stop() already swept conns_ if it ran; shut the latecomer down under
     // the same mutex so its reader cannot be missed and block Wait().
     if (stopping_.load()) ::shutdown(fd, SHUT_RDWR);
+    // Responses are whole lines written at once: Nagle would only hold the
+    // second of two back-to-back responses for the peer's delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     conns_.push_back(std::make_unique<Connection>());
     Connection* conn = conns_.back().get();
     conn->fd = fd;
@@ -578,7 +585,7 @@ Response Server::HandleLoad(const Request& request) {
   }
 
   pipeline::EngineOptions engine_options;
-  engine_options.threads = options_.engine_threads;
+  engine_options.pool = &sampler_pool_;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact).value(),
                                                 engine_options);
   if (!engine.ok()) return ErrorResponse(request.id, engine.status());

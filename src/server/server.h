@@ -13,6 +13,9 @@
 //        ▼
 //   EngineCache (byte-budgeted LRU of ReleaseEngines, pin/lease)
 //   TenantLedger (per-tenant epsilon caps, idempotent per release)
+//   one sampler WorkerPool, shared by every engine the daemon builds:
+//   a coalesced batch fans out over all of it, and concurrent batches
+//   take turns on it
 //
 // Serving is pure post-processing of fitted artifacts (paper Theorem 2):
 // the daemon never touches sensitive data, only release artifacts, so a
@@ -47,6 +50,7 @@
 #include "src/server/engine_cache.h"
 #include "src/server/protocol.h"
 #include "src/server/tenant_ledger.h"
+#include "src/util/parallel.h"
 #include "src/util/status.h"
 
 namespace agmdp::server {
@@ -59,8 +63,10 @@ struct ServerOptions {
   int port = 0;
   /// Worker threads executing requests (>= 1).
   int worker_threads = 2;
-  /// Workers of each cached engine's sampler pool (never affects bits).
-  int engine_threads = 1;
+  /// Workers of the daemon's one sampler pool, shared by every engine it
+  /// builds (0 = the available cores, capped at the sampler shard count).
+  /// Never affects bits.
+  int engine_threads = 0;
   /// Admission queue capacity; a full queue rejects instead of buffering.
   size_t max_queue = 64;
   /// Engine cache byte budget (0 = unlimited).
@@ -130,6 +136,9 @@ class Server {
 
   /// The bound TCP port.
   int port() const { return port_; }
+
+  /// Workers of the shared sampler pool (resolved engine_threads).
+  int sampler_threads() const { return sampler_pool_.num_workers(); }
 
   /// Signals shutdown (idempotent, non-blocking, safe from worker
   /// threads): unblocks the listener, readers and workers. Join with
@@ -212,6 +221,8 @@ class Server {
   int listen_fd_ = -1;
   int port_ = 0;
 
+  /// Declared before cache_ so it outlives every cached engine.
+  util::WorkerPool sampler_pool_;
   EngineCache cache_;
   TenantLedger ledger_;
   std::unique_ptr<registry::ArtifactRegistry> registry_;

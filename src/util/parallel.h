@@ -113,6 +113,10 @@ void ParallelTally(uint64_t n, int threads, MakeLocal&& make_local,
 /// worker executes which index is unspecified — callers own determinism by
 /// making each task a pure function of its index (fixed Rng substreams,
 /// disjoint output slots) and by merging results in index order themselves.
+///
+/// One pool may be shared by many callers (the serving daemon shares one
+/// across every engine it builds): concurrent Run calls take turns, each
+/// batch running to completion on the whole pool before the next starts.
 class WorkerPool {
  public:
   explicit WorkerPool(int threads) {
@@ -140,14 +144,16 @@ class WorkerPool {
   int num_workers() const { return num_workers_; }
 
   /// Runs fn(0), ..., fn(num_tasks - 1), each exactly once, and returns
-  /// when all have completed. fn must not throw and must not call Run on
-  /// the same pool (no nesting).
+  /// when all have completed. Safe to call from several threads at once
+  /// (their batches take turns). fn must not throw and must not call Run
+  /// on the same pool (no nesting).
   void Run(int num_tasks, const std::function<void(int)>& fn) {
     if (num_tasks <= 0) return;
     if (workers_.empty() || num_tasks == 1) {
       for (int i = 0; i < num_tasks; ++i) fn(i);
       return;
     }
+    const std::lock_guard<std::mutex> turn(run_mu_);
     {
       std::unique_lock<std::mutex> lock(mu_);
       // A worker from the previous batch may still be draining its final
@@ -198,6 +204,8 @@ class WorkerPool {
     }
   }
 
+  /// Held by Run for a whole batch: concurrent callers take turns.
+  std::mutex run_mu_;
   std::mutex mu_;
   std::condition_variable wake_;
   std::condition_variable idle_;

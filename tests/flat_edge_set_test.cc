@@ -17,7 +17,6 @@
 #include "src/graph/graph.h"
 #include "src/util/flat_edge_set.h"
 #include "src/util/math_util.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace agmdp {
@@ -213,25 +212,6 @@ TEST(MathUtilTest, SaturatingArithmetic) {
   EXPECT_EQ(util::SaturatingMul(1ULL << 32, 1ULL << 32), UINT64_MAX);
   EXPECT_EQ(util::SaturatingAdd(1, 2), 3u);
   EXPECT_EQ(util::SaturatingAdd(UINT64_MAX, 1), UINT64_MAX);
-}
-
-// ---------------------------------------------------------- WorkerPool --
-
-TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
-  util::WorkerPool pool(4);
-  for (int batch = 0; batch < 50; ++batch) {
-    std::vector<int> hits(97, 0);
-    pool.Run(97, [&](int i) { ++hits[i]; });
-    for (int i = 0; i < 97; ++i) ASSERT_EQ(hits[i], 1) << "batch " << batch;
-  }
-}
-
-TEST(WorkerPoolTest, SingleWorkerRunsInline) {
-  util::WorkerPool pool(1);
-  EXPECT_EQ(pool.num_workers(), 1);
-  std::vector<int> order;
-  pool.Run(8, [&](int i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 // --------------------------------------- sampler determinism contract --

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/graph/clustering.h"
@@ -15,6 +16,7 @@
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
+#include "src/util/flat_edge_set.h"
 #include "src/util/rng.h"
 
 namespace agmdp::graph {
@@ -79,6 +81,57 @@ TEST(GraphFuzzTest, DegreesConsistentWithAdjacency) {
     degree_sum += g.Degree(v);
   }
   EXPECT_EQ(degree_sum, 2 * g.num_edges());
+}
+
+// CanonicalEdges sorts each node's higher neighbours; the reference is the
+// definition it replaced: every edge via ForEachEdge, then one global sort.
+// Removals scramble the adjacency lists (swap-erase), so the per-node runs
+// are far from sorted.
+TEST(GraphFuzzTest, CanonicalEdgesMatchesGlobalSort) {
+  util::Rng rng(3);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<NodeId>(1 + rng.UniformIndex(90));
+    Graph g = models::ErdosRenyiGnp(n, rng.UniformDouble() * 0.5, rng);
+    for (int step = 0; step < 300; ++step) {
+      g.RemoveEdge(static_cast<NodeId>(rng.UniformIndex(n)),
+                   static_cast<NodeId>(rng.UniformIndex(n)));
+      g.AddEdge(static_cast<NodeId>(rng.UniformIndex(n)),
+                static_cast<NodeId>(rng.UniformIndex(n)));
+    }
+    std::vector<Edge> reference;
+    g.ForEachEdge([&](NodeId u, NodeId v) { reference.emplace_back(u, v); });
+    std::sort(reference.begin(), reference.end());
+    ASSERT_EQ(g.CanonicalEdges(), reference) << "trial " << trial;
+  }
+}
+
+// FromDistinctEdges builds exactly the graph an AddEdge loop builds —
+// adjacency lists in the same order — with every list sized to its degree.
+TEST(GraphFuzzTest, FromDistinctEdgesMatchesAddEdgeLoop) {
+  util::Rng rng(4);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(2 + rng.UniformIndex(60));
+    Graph grown(n);
+    std::vector<Edge> kept;
+    util::FlatEdgeSet keys;
+    for (int step = 0; step < 400; ++step) {
+      const auto u = static_cast<NodeId>(rng.UniformIndex(n));
+      const auto v = static_cast<NodeId>(rng.UniformIndex(n));
+      if (grown.AddEdge(u, v)) {
+        kept.emplace_back(u, v);
+        ASSERT_TRUE(keys.Insert(PackEdge(u, v)));
+      }
+    }
+    const Graph built = Graph::FromDistinctEdges(n, kept, std::move(keys));
+    ASSERT_EQ(built.num_edges(), grown.num_edges()) << "trial " << trial;
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(built.Neighbors(v), grown.Neighbors(v))
+          << "trial " << trial << " node " << v;
+      EXPECT_EQ(built.Neighbors(v).capacity(), built.Degree(v));
+    }
+    for (const Edge& e : kept) EXPECT_TRUE(built.HasEdge(e.u, e.v));
+    EXPECT_EQ(built.CanonicalEdges(), grown.CanonicalEdges());
+  }
 }
 
 // ------------------------------------------- Differential algorithm tests --

@@ -10,7 +10,9 @@
 #include "src/agm/agm_sampler.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
+#include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
+#include "src/server/protocol.h"
 #include "src/util/rng.h"
 
 namespace agmdp {
@@ -194,61 +196,111 @@ TEST(SamplerDeterminismTest, ParallelThetaFMatchesSequential) {
   }
 }
 
-// FNV-1a over the canonical edge list, the attribute vector and the graph
-// dimensions — a stable fingerprint of a released graph.
-uint64_t GraphChecksum(const graph::AttributedGraph& g) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(g.num_nodes());
-  mix(static_cast<uint64_t>(g.num_attributes()));
-  for (const graph::Edge& e : g.structure().CanonicalEdges()) {
-    mix(e.u);
-    mix(e.v);
-  }
-  for (graph::AttrConfig a : g.attributes()) mix(a);
-  return h;
+// Golden-release regression. The checksums (server::GraphChecksum, the
+// FNV-1a fingerprint the daemon serves) are literals captured once from
+// the sampler and pinned here, so they hold across commits, not only
+// across thread counts: a refactor of the sampler, the shard merge or the
+// Graph build that moves a single sampled bit fails this test. Fixed
+// input (Input()), epsilon ln 2, seed kGoldenSeed, two acceptance
+// iterations.
+constexpr uint64_t kGoldenSeed = 20260730;
+
+struct GoldenChecksums {
+  const char* model;
+  /// RunPrivateRelease at 1, 2 and 4 sampler threads (and a rerun).
+  uint64_t release;
+  /// Uncalibrated engine, SampleMany(4) from sequence 0, at pool sizes
+  /// 1 and 4.
+  uint64_t many[4];
+  /// Calibrated engine (EngineOptions defaults), SampleMany(4).
+  uint64_t calibrated[4];
+};
+
+constexpr GoldenChecksums kGolden[] = {
+    {"fcl",
+     15056673885295524544ull,
+     {5259316263498032214ull, 2220790973309421557ull, 9365101710743338816ull,
+      14004843720648862279ull},
+     {15929842119402751904ull, 4516153339287521085ull, 909166689209193769ull,
+      14590908584661297316ull}},
+    {"tricycle",
+     18166957158890651360ull,
+     {9551215061627594426ull, 5276275479526368452ull, 5384888756847689186ull,
+      6890438917857807429ull},
+     {5317819269462456387ull, 7220066469837350423ull, 14899608306534883806ull,
+      14911757168568896620ull}},
+};
+
+pipeline::PipelineConfig GoldenConfig(const std::string& model) {
+  pipeline::PipelineConfig config;
+  config.epsilon = std::log(2.0);
+  config.model = model;
+  config.sample.acceptance_iterations = 2;
+  return config;
 }
 
-// Golden-release regression: a fixed seed and a fixed PipelineConfig must
-// reproduce the same checksummed released edge list at 1, 2 and 4 sampler
-// threads and across repeated runs, with a ledger that sums exactly to the
-// configured epsilon every time.
-TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
-  constexpr uint64_t kSeed = 20260730;
-  for (const std::string& model :
-       {std::string("fcl"), std::string("tricycle")}) {
-    uint64_t golden = 0;
-    for (int threads : {1, 2, 4, /*rerun at 1:*/ 1}) {
-      pipeline::PipelineConfig config;
-      config.epsilon = std::log(2.0);
-      config.model = model;
-      config.sample.acceptance_iterations = 2;
-      config.sample.threads = threads;
-      util::Rng rng(kSeed);
-      auto result = pipeline::RunPrivateRelease(Input(), config, rng);
-      ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();
+void ExpectSampleManyChecksums(const pipeline::ReleaseEngine& engine,
+                               const uint64_t (&expected)[4],
+                               const std::string& label) {
+  pipeline::SampleRequest base;
+  base.seed = kGoldenSeed;
+  auto graphs = engine.SampleMany(4, base);
+  ASSERT_TRUE(graphs.ok()) << label << ": " << graphs.status().ToString();
+  ASSERT_EQ(graphs.value().size(), 4u) << label;
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(server::GraphChecksum(graphs.value()[i]), expected[i])
+        << label << " sequence " << i;
+  }
+}
 
-      const uint64_t checksum = GraphChecksum(result.value().graph);
-      if (golden == 0) {
-        golden = checksum;
-      } else {
-        EXPECT_EQ(checksum, golden)
-            << model << " diverged at threads=" << threads;
-      }
+// A fixed seed and PipelineConfig reproduce the pinned release checksum at
+// 1, 2 and 4 sampler threads and across repeated runs, with a ledger that
+// sums exactly to the configured epsilon every time.
+TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
+  for (const GoldenChecksums& golden : kGolden) {
+    for (int threads : {1, 2, 4, /*rerun at 1:*/ 1}) {
+      pipeline::PipelineConfig config = GoldenConfig(golden.model);
+      config.sample.threads = threads;
+      util::Rng rng(kGoldenSeed);
+      auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+      ASSERT_TRUE(result.ok())
+          << golden.model << ": " << result.status().ToString();
+      EXPECT_EQ(server::GraphChecksum(result.value().graph), golden.release)
+          << golden.model << " diverged at threads=" << threads;
 
       // The epsilon ledger must sum exactly (not approximately) to the
       // budget on every run.
       double sum = 0.0;
       for (const auto& [label, eps] : result.value().ledger) sum += eps;
-      EXPECT_DOUBLE_EQ(sum, config.epsilon) << model;
-      EXPECT_DOUBLE_EQ(result.value().epsilon_spent, config.epsilon) << model;
+      EXPECT_DOUBLE_EQ(sum, config.epsilon) << golden.model;
+      EXPECT_DOUBLE_EQ(result.value().epsilon_spent, config.epsilon)
+          << golden.model;
     }
-    EXPECT_NE(golden, 0u) << model;
+  }
+}
+
+// Served samples are pinned too: SampleMany(4) on an uncalibrated engine at
+// pool sizes 1 and 4, and on a calibrated engine.
+TEST(GoldenReleaseTest, EngineSampleManyReproducesPinnedChecksums) {
+  for (const GoldenChecksums& golden : kGolden) {
+    util::Rng rng(kGoldenSeed);
+    auto artifact =
+        pipeline::FitReleaseArtifact(Input(), GoldenConfig(golden.model), rng);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    for (int threads : {1, 4}) {
+      pipeline::EngineOptions options;
+      options.threads = threads;
+      options.calibrate = false;
+      auto engine = pipeline::ReleaseEngine::Create(artifact.value(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      ExpectSampleManyChecksums(*engine.value(), golden.many,
+                                std::string(golden.model) + " threads=" +
+                                    std::to_string(threads));
+    }
+    auto calibrated = pipeline::ReleaseEngine::Create(artifact.value());
+    ASSERT_TRUE(calibrated.ok()) << calibrated.status().ToString();
+    ExpectSampleManyChecksums(*calibrated.value(), golden.calibrated,
+                              std::string(golden.model) + " calibrated");
   }
 }
 

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -954,6 +955,192 @@ TEST(ServerTcpTest, DrainFlushesQueuedResponsesAndCheckpoints) {
   ASSERT_EQ(reg.value()->TenantCharges().size(), 1u);
   EXPECT_EQ(reg.value()->TenantCharges()[0].tenant, "alice");
   std::remove(registry_path.c_str());
+}
+
+// ---------------------------------------- shared sampler pool, TCP_NODELAY --
+
+/// Reads from `fd` until `lines` newline-terminated responses have arrived
+/// (or the connection fails); returns how many did.
+int ReadLines(int fd, int lines) {
+  int got = 0;
+  char buf[4096];
+  while (got < lines) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    got += static_cast<int>(std::count(buf, buf + n, '\n'));
+  }
+  return got;
+}
+
+TEST(ServerTcpTest, PipelinedResponsesAreNotHeldByNagle) {
+  auto started = server::Server::Start(TestServerOptions());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+
+  server::Request stats;
+  stats.op = server::RequestOp::kStats;
+  const std::string line = server::SerializeRequest(stats) + "\n";
+  const int fd = RawConnect(daemon.port());
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  // A few lock-step exchanges first: they put the connection in the
+  // interactive mode where the client's kernel delays its ACKs (>= 40 ms).
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    ASSERT_EQ(ReadLines(fd, 1), 1);
+  }
+  // Then ten requests in one write, the pipelining client's shape. With
+  // Nagle on the daemon's socket, the responses after the first wait for
+  // that delayed ACK.
+  constexpr int kRequests = 10;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) burst += line;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  const int lines = ReadLines(fd, kRequests);
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ::close(fd);
+  EXPECT_EQ(lines, kRequests);
+  // Below one delayed-ACK timeout: a single Nagle stall fails this.
+  EXPECT_LT(elapsed_ms, 30.0) << "pipelined responses stalled";
+
+  daemon.Stop();
+  daemon.Wait();
+}
+
+TEST(ServerTcpTest, TwoHotEnginesOnTheSharedPoolMatchTheirOracles) {
+  // Both engines run on the daemon's one sampler pool; concurrent clients
+  // of both keep batches of each in flight at once, so Run is called from
+  // several daemon workers concurrently.
+  server::ServerOptions options = TestServerOptions();
+  options.engine_threads = 4;
+  auto started = server::Server::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+  EXPECT_EQ(daemon.sampler_threads(), 4);
+
+  struct Hot {
+    const char* name;
+    uint64_t artifact_seed;
+    uint64_t sample_seed;
+  };
+  const Hot hot[2] = {{"a", 5, 77}, {"b", 6, 88}};
+  for (const Hot& h : hot) {
+    server::Request load;
+    load.op = server::RequestOp::kLoad;
+    load.id = 1;
+    load.tenant = "alice";
+    load.name = h.name;
+    load.artifact = ArtifactFile(h.artifact_seed);
+    ASSERT_TRUE(daemon.Handle(load).status.ok()) << h.name;
+  }
+
+  // Client c serves engine c % 2, three lock-step requests each.
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 3;
+  constexpr int kPerEngine = kClients / 2 * kPerClient;
+  std::vector<std::vector<uint64_t>> got(kClients);
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([c, &hot, &daemon, &got, &errors] {
+      const Hot& h = hot[c % 2];
+      auto client = server::Client::Connect("127.0.0.1", daemon.port());
+      if (!client.ok()) {
+        errors[static_cast<size_t>(c)] = client.status().ToString();
+        return;
+      }
+      for (int i = 0; i < kPerClient; ++i) {
+        server::Request request;
+        request.op = server::RequestOp::kSample;
+        request.id = static_cast<uint64_t>(c * kPerClient + i);
+        request.tenant = "alice";
+        request.name = h.name;
+        request.seed = h.sample_seed;
+        request.sequence = static_cast<uint64_t>(c / 2 * kPerClient + i);
+        auto response = client.value().Call(request);
+        if (!response.ok() || !response.value().status.ok() ||
+            response.value().graphs.size() != 1) {
+          errors[static_cast<size_t>(c)] =
+              response.ok() ? response.value().status.ToString()
+                            : response.status().ToString();
+          return;
+        }
+        got[static_cast<size_t>(c)].push_back(
+            response.value().graphs[0].checksum);
+      }
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+
+  const std::vector<uint64_t> oracle[2] = {
+      OracleChecksums(hot[0].artifact_seed, hot[0].sample_seed, 0,
+                      kPerEngine),
+      OracleChecksums(hot[1].artifact_seed, hot[1].sample_seed, 0,
+                      kPerEngine)};
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(errors[static_cast<size_t>(c)].empty())
+        << "client " << c << ": " << errors[static_cast<size_t>(c)];
+    ASSERT_EQ(got[static_cast<size_t>(c)].size(),
+              static_cast<size_t>(kPerClient));
+    for (int i = 0; i < kPerClient; ++i) {
+      EXPECT_EQ(got[static_cast<size_t>(c)][static_cast<size_t>(i)],
+                oracle[c % 2][static_cast<size_t>(c / 2 * kPerClient + i)])
+          << "client " << c << " request " << i;
+    }
+  }
+
+  daemon.Stop();
+  daemon.Wait();
+}
+
+TEST(ServerTest, DaemonEnginesAreNotChargedForTheSharedPool) {
+  server::ServerOptions options = TestServerOptions();
+  options.engine_threads = 4;
+  auto started = server::Server::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+
+  server::Request load;
+  load.op = server::RequestOp::kLoad;
+  load.id = 1;
+  load.tenant = "alice";
+  load.name = "m";
+  load.artifact = ArtifactFile(5);
+  const server::Response response = daemon.Handle(load);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  double engine_bytes = -1.0;
+  for (const auto& [key, value] : response.stats) {
+    if (key == "engine_bytes") engine_bytes = value;
+  }
+
+  // The same artifact on a borrowed pool, and on an owned pool of the
+  // same size: only the owner pays for the workers.
+  util::WorkerPool pool(4);
+  pipeline::EngineOptions borrowed;
+  borrowed.pool = &pool;
+  pipeline::EngineOptions owning;
+  owning.threads = 4;
+  auto on_borrowed = pipeline::ReleaseEngine::Create(FittedArtifact(5),
+                                                     borrowed);
+  auto on_owned = pipeline::ReleaseEngine::Create(FittedArtifact(5), owning);
+  ASSERT_TRUE(on_borrowed.ok() && on_owned.ok());
+  EXPECT_EQ(engine_bytes,
+            static_cast<double>(on_borrowed.value()->ApproxBytes()));
+  EXPECT_LT(on_borrowed.value()->ApproxBytes(),
+            on_owned.value()->ApproxBytes());
+  EXPECT_EQ(daemon.CacheStats().bytes_in_use,
+            on_borrowed.value()->ApproxBytes());
+
+  daemon.Stop();
+  daemon.Wait();
 }
 
 }  // namespace

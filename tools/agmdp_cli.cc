@@ -57,7 +57,7 @@
 //              the JSON is byte-identical across runs (timing fields aside;
 //              --no-timing omits them entirely).
 //   serve      [--port=0] [--host=127.0.0.1] [--workers=2]
-//              [--engine-threads=1] [--queue=64] [--cache-mb=256]
+//              [--engine-threads=0] [--queue=64] [--cache-mb=256]
 //              [--tenant-budget=EPS] [--budgets=alice:1.5,bob:0.7]
 //              [--no-batching] [--port-file=FILE] [--registry=FILE]
 //              [--dataset-cap=EPS] [--dataset-caps=lastfm:2.0]
@@ -66,16 +66,17 @@
 //              Run the multi-tenant sampling daemon (src/server): engines
 //              behind a byte-budgeted LRU cache, per-tenant epsilon
 //              ledger, bounded admission queue, batched SampleMany
-//              serving. --port=0 picks an ephemeral port; --port-file
-//              writes the bound port for scripts. With --registry every
-//              tenant charge is journaled durably before the load is
-//              acknowledged and the ledger is rebuilt from the journal on
-//              restart; clients can then load by --dataset/--name instead
-//              of a file path. The timeout flags bound slow or idle
-//              connections (slow-loris defense). Blocks until a client
-//              sends the shutdown op; SIGTERM/SIGINT drain gracefully
-//              (stop accepting, flush queued responses, checkpoint the
-//              registry).
+//              serving. --engine-threads sizes the one sampler pool every
+//              engine shares (0 = available cores). --port=0 picks an
+//              ephemeral port; --port-file writes the bound port for
+//              scripts. With --registry every tenant charge is journaled
+//              durably before the load is acknowledged and the ledger is
+//              rebuilt from the journal on restart; clients can then load
+//              by --dataset/--name instead of a file path. The timeout
+//              flags bound slow or idle connections (slow-loris defense).
+//              Blocks until a client sends the shutdown op; SIGTERM/SIGINT
+//              drain gracefully (stop accepting, flush queued responses,
+//              checkpoint the registry).
 //   client     --port=P --op=load|sample|pin|unpin|unload|stats|shutdown
 //              [--host=127.0.0.1] [--tenant=T] [--name=M] [--artifact=F]
 //              [--dataset=D] [--samples=N] [--seed=1] [--sequence=0]
@@ -850,7 +851,8 @@ int CmdServe(const util::Flags& flags) {
   auto workers = flags.GetCheckedInt("workers", 2);
   if (!workers.ok()) return FailUsage(workers.status());
   options.worker_threads = static_cast<int>(workers.value());
-  auto engine_threads = flags.GetCheckedInt("engine-threads", 1);
+  // Workers of the sampler pool every engine shares; 0 = available cores.
+  auto engine_threads = flags.GetCheckedInt("engine-threads", 0);
   if (!engine_threads.ok()) return FailUsage(engine_threads.status());
   options.engine_threads = static_cast<int>(engine_threads.value());
   auto queue = flags.GetCheckedInt("queue", 64);
@@ -894,10 +896,10 @@ int CmdServe(const util::Flags& flags) {
   auto started = server::Server::Start(options);
   if (!started.ok()) return Fail(started.status());
   server::Server& daemon = *started.value();
-  std::printf("agmdp serve: listening on %s:%d (%d workers, queue %zu, "
-              "cache %llu MiB%s%s)\n",
+  std::printf("agmdp serve: listening on %s:%d (%d workers, sampler pool "
+              "%d, queue %zu, cache %llu MiB%s%s)\n",
               options.host.c_str(), daemon.port(), options.worker_threads,
-              options.max_queue,
+              daemon.sampler_threads(), options.max_queue,
               static_cast<unsigned long long>(options.cache_bytes >> 20),
               options.registry_path.empty() ? "" : ", registry ",
               options.registry_path.c_str());
