@@ -23,6 +23,8 @@
 #include <string>
 
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
+#include "src/graph/csr.h"
 #include "src/graph/graph_source.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
@@ -52,7 +54,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n",
               stats::FormatSummary("input",
-                                   stats::Summarize(input.value().structure()))
+                                   stats::Summarize(graph::CsrGraph::FromGraph(
+                                       input.value().structure())))
                   .c_str());
 
   // IMPORTANT privacy note: the parameters are the release. Fitting them
@@ -116,6 +119,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const eval::ReferenceProfile original =
+      eval::ProfileReference(input.value());
   for (int i = 0; i < releases; ++i) {
     const graph::AttributedGraph& g = graphs.value()[static_cast<size_t>(i)];
     // WriteGraph routes on the extension: pass --out=release.agmbin to
@@ -126,11 +131,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "write: %s\n", st.ToString().c_str());
       return 1;
     }
-    stats::UtilityErrors e = stats::CompareGraphs(input.value(), g);
+    const stats::UtilityErrors e = eval::EvaluateRelease(original, g).errors;
     std::printf("release %d -> %s\n", i, prefix.c_str());
     std::printf("%s\n",
-                stats::FormatSummary("  synthetic",
-                                     stats::Summarize(g.structure()))
+                stats::FormatSummary(
+                    "  synthetic",
+                    stats::Summarize(graph::CsrGraph::FromGraph(g.structure())))
                     .c_str());
     std::printf("  H_ThetaF=%.4f KS_S=%.4f tri_re=%.4f m_re=%.4f\n\n",
                 e.theta_f_hellinger, e.degree_ks, e.triangles_re, e.edges_re);

@@ -6,6 +6,8 @@
 #include <cstdio>
 
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
+#include "src/graph/csr.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/stats/summary.h"
@@ -46,16 +48,18 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n",
               stats::FormatSummary("input",
-                                   stats::Summarize(input.value().structure()))
+                                   stats::Summarize(graph::CsrGraph::FromGraph(
+                                       input.value().structure())))
                   .c_str());
   std::printf("%s\n",
               stats::FormatSummary(
                   "synthetic",
-                  stats::Summarize(result.value().graph.structure()))
+                  stats::Summarize(graph::CsrGraph::FromGraph(
+                      result.value().graph.structure())))
                   .c_str());
 
-  stats::UtilityErrors errors =
-      stats::CompareGraphs(input.value(), result.value().graph);
+  const stats::UtilityErrors errors =
+      eval::EvaluateRelease(input.value(), result.value().graph).errors;
   std::printf("\nutility (lower is better):\n");
   std::printf("  Theta_F MAE        %.4f\n", errors.theta_f_mae);
   std::printf("  Theta_F Hellinger  %.4f\n", errors.theta_f_hellinger);

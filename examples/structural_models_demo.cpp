@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/datasets/datasets.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/bter.h"
@@ -23,9 +24,10 @@ using namespace agmdp;
 
 void Report(const char* name, const graph::Graph& original,
             const graph::Graph& synthetic) {
-  std::printf("%s\n", stats::FormatSummary(name,
-                                           stats::Summarize(synthetic))
-                          .c_str());
+  std::printf("%s\n",
+              stats::FormatSummary(
+                  name, stats::Summarize(graph::CsrGraph::FromGraph(synthetic)))
+                  .c_str());
   std::printf("    degree KS=%.4f  degree Hellinger=%.4f\n",
               stats::KsStatistic(graph::SortedDegreeSequence(synthetic),
                                  graph::SortedDegreeSequence(original)),
@@ -49,7 +51,9 @@ int main(int argc, char** argv) {
   }
   const graph::Graph& g = input.value().structure();
   std::printf("%s\n",
-              stats::FormatSummary("original", stats::Summarize(g)).c_str());
+              stats::FormatSummary(
+                  "original", stats::Summarize(graph::CsrGraph::FromGraph(g)))
+                  .c_str());
   std::printf("\n");
 
   const std::vector<uint32_t> degrees = graph::DegreeSequence(g);

@@ -50,9 +50,9 @@ uint32_t ResolveBlocks(uint32_t configured, graph::NodeId n) {
 
 class CommunitySampler final : public ArtifactSampler {
  public:
-  static util::Result<std::shared_ptr<const ArtifactSampler>> Build(
+  static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact) {
-    auto sampler = std::make_shared<CommunitySampler>();
+    auto sampler = std::make_unique<CommunitySampler>();
     const pipeline::MechanismPayload& payload = artifact.payload;
     sampler->w_ = artifact.params.w;
     sampler->node_blocks_ = payload.node_blocks;
@@ -90,10 +90,12 @@ class CommunitySampler final : public ArtifactSampler {
       if (!alias.ok()) return alias.status();
       sampler->attr_samplers_.push_back(std::move(alias).value());
     }
-    return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
+    return std::unique_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
-  util::Result<graph::AttributedGraph> Sample(util::Rng& rng) const override {
+  util::Result<graph::AttributedGraph> Sample(
+      util::Rng& rng, int /*refine_iterations*/,
+      util::WorkerPool* /*pool*/) const override {
     const auto n = static_cast<graph::NodeId>(node_blocks_.size());
     graph::AttributedGraph out(graph::Graph(n), w_);
     for (graph::NodeId v = 0; v < n; ++v) {
@@ -147,7 +149,7 @@ class CommunitySampler final : public ArtifactSampler {
 
 util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng) {
+    util::Rng& rng, std::vector<agm::StageSeconds>* /*stage_seconds*/) {
   const graph::NodeId n = input.num_nodes();
   if (n == 0) return Invalid("input graph has no nodes");
   const int w = input.num_attributes();
@@ -250,8 +252,9 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
   return artifact;
 }
 
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeCommunitySampler(
-    const pipeline::ReleaseArtifact& artifact) {
+util::Result<std::unique_ptr<const ArtifactSampler>> MakeCommunitySampler(
+    const pipeline::ReleaseArtifact& artifact,
+    const pipeline::EngineOptions& /*options*/, util::WorkerPool* /*pool*/) {
   if (artifact.mechanism != "community_dp") {
     return Invalid("artifact is tagged '" + artifact.mechanism + "'");
   }

@@ -29,9 +29,9 @@ uint32_t ResolveK(uint32_t configured, double epsilon, graph::NodeId n) {
 
 class KanonSampler final : public ArtifactSampler {
  public:
-  static util::Result<std::shared_ptr<const ArtifactSampler>> Build(
+  static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact) {
-    auto sampler = std::make_shared<KanonSampler>();
+    auto sampler = std::make_unique<KanonSampler>();
     const pipeline::MechanismPayload& payload = artifact.payload;
     sampler->w_ = artifact.params.w;
     sampler->degrees_ = artifact.params.degree_sequence;
@@ -48,10 +48,12 @@ class KanonSampler final : public ArtifactSampler {
       if (!alias.ok()) return alias.status();
       sampler->attr_samplers_.push_back(std::move(alias).value());
     }
-    return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
+    return std::unique_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
-  util::Result<graph::AttributedGraph> Sample(util::Rng& rng) const override {
+  util::Result<graph::AttributedGraph> Sample(
+      util::Rng& rng, int /*refine_iterations*/,
+      util::WorkerPool* /*pool*/) const override {
     // Attributes first, structure second — a fixed draw order so the
     // sample is a pure function of the stream.
     std::vector<graph::AttrConfig> attrs(degrees_.size());
@@ -83,7 +85,7 @@ class KanonSampler final : public ArtifactSampler {
 
 util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng) {
+    util::Rng& rng, std::vector<agm::StageSeconds>* /*stage_seconds*/) {
   (void)rng;  // Syntactic anonymization is deterministic: no noise drawn.
   const graph::NodeId n = input.num_nodes();
   if (n < 2) return Invalid("input graph needs at least 2 nodes");
@@ -160,8 +162,9 @@ util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
   return artifact;
 }
 
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeKanonSampler(
-    const pipeline::ReleaseArtifact& artifact) {
+util::Result<std::unique_ptr<const ArtifactSampler>> MakeKanonSampler(
+    const pipeline::ReleaseArtifact& artifact,
+    const pipeline::EngineOptions& /*options*/, util::WorkerPool* /*pool*/) {
   if (artifact.mechanism != "kanon_baseline") {
     return Invalid("artifact is tagged '" + artifact.mechanism + "'");
   }

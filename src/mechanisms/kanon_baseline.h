@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "src/mechanisms/release_mechanism.h"
 
@@ -30,9 +31,10 @@ namespace agmdp::mechanisms {
 
 util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng);
+    util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds);
 
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeKanonSampler(
-    const pipeline::ReleaseArtifact& artifact);
+util::Result<std::unique_ptr<const ArtifactSampler>> MakeKanonSampler(
+    const pipeline::ReleaseArtifact& artifact,
+    const pipeline::EngineOptions& options, util::WorkerPool* pool);
 
 }  // namespace agmdp::mechanisms

@@ -1,8 +1,8 @@
 #include "src/mechanisms/release_mechanism.h"
 
+#include "src/mechanisms/agm_mechanism.h"
 #include "src/mechanisms/community_dp.h"
 #include "src/mechanisms/kanon_baseline.h"
-#include "src/pipeline/release_pipeline.h"
 
 namespace agmdp::mechanisms {
 
@@ -19,18 +19,8 @@ std::vector<MechanismSpec> BuildRegistry() {
         "structural-model sampling (edge-DP; node-DP theta_f variants via "
         "theta_f_method)";
     spec.privacy_model = PrivacyModel::kEdgeDp;
-    spec.builtin_agm = true;
-    // Identical to the pre-registry FitReleaseArtifact path: fit under the
-    // accountant, package with the config fingerprint. Serving stays on
-    // ReleaseEngine's dedicated calibrated path (no make_sampler).
-    spec.fit = [](const graph::AttributedGraph& input,
-                  const pipeline::PipelineConfig& config, util::Rng& rng) {
-      auto fit = pipeline::FitPrivateParams(input, config, rng);
-      if (!fit.ok()) return util::Result<pipeline::ReleaseArtifact>(
-          fit.status());
-      return util::Result<pipeline::ReleaseArtifact>(
-          pipeline::MakeReleaseArtifact(fit.value(), config));
-    };
+    spec.fit = FitAgm;
+    spec.make_sampler = AgmSampler::Build;
     specs.push_back(std::move(spec));
   }
 
@@ -68,6 +58,18 @@ const std::vector<MechanismSpec>& Registry() {
 }
 
 }  // namespace
+
+const char* PrivacyModelName(PrivacyModel model) {
+  switch (model) {
+    case PrivacyModel::kEdgeDp:
+      return "edge_dp";
+    case PrivacyModel::kNodeDp:
+      return "node_dp";
+    case PrivacyModel::kSyntactic:
+      return "syntactic";
+  }
+  return "unknown";
+}
 
 const MechanismSpec* FindMechanism(const std::string& name) {
   for (const MechanismSpec& spec : Registry()) {

@@ -1,27 +1,31 @@
-// The pluggable release-mechanism registry: competing private-graph
-// publication schemes behind one artifact/accounting contract.
+// The release-mechanism registry: every private-graph publication scheme —
+// the paper's AGM pipeline and the competing schemes — behind one
+// artifact/accounting contract. It is the only place that maps a
+// mechanism tag to a way of fitting and serving.
 //
-// A ReleaseMechanism is (name, privacy model, Fit, MakeSampler):
+// A MechanismSpec is (name, privacy model, fit, make_sampler):
 //
-//   * Fit reads the sensitive input exactly once and returns a
+//   * fit reads the sensitive input exactly once and returns a
 //     mechanism-tagged pipeline::ReleaseArtifact. DP mechanisms charge
 //     every stage through one dp::PrivacyAccountant, so the artifact's
 //     ledger sums to the global epsilon; syntactic mechanisms
 //     (kanon_baseline) carry a zero-spend ledger.
-//   * MakeSampler turns a validated artifact into an ArtifactSampler —
-//     the serving handle pipeline::ReleaseEngine delegates to for non-AGM
-//     mechanisms. Sampling is pure post-processing (Theorem 2): repeatable
-//     at zero additional privacy cost.
+//   * make_sampler turns a validated artifact into the ArtifactSampler
+//     pipeline::ReleaseEngine serves every request through. Sampling is
+//     pure post-processing (Theorem 2): repeatable at zero additional
+//     privacy cost.
 //
 // Determinism contract: ArtifactSampler::Sample draws exclusively from the
 // caller's Rng and shared immutable state, so ReleaseEngine's request
 // keying (Substream(seed, sequence)) makes every mechanism's output
-// bitwise-identical at any thread count, exactly like the AGM path.
+// bitwise-identical at any thread count.
 //
 // The registry mirrors pipeline's structural-model registry: a static
 // spec table, FindMechanism by tag, and name listings for error messages.
-// To add a scheme: implement Fit/MakeSampler, add the tag to
-// mechanism_tags.h, append a spec in release_mechanism.cc, and extend the
+// Every read boundary (PipelineConfig::Validate, ValidateReleaseArtifact
+// and so ReleaseArtifactFromJson and ReleaseEngine::Create) rejects a tag
+// FindMechanism does not know. To add a scheme: implement fit and
+// make_sampler, append a spec in release_mechanism.cc, and extend the
 // per-mechanism branch of pipeline::ValidateReleaseArtifact.
 #pragma once
 
@@ -31,27 +35,46 @@
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
-#include "src/mechanisms/mechanism_tags.h"
 #include "src/pipeline/pipeline_config.h"
 #include "src/pipeline/release_artifact.h"
+#include "src/pipeline/release_engine.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace agmdp::mechanisms {
 
-/// \brief Serving handle of a fitted non-AGM artifact: draws one synthetic
-/// graph per call from the caller's stream. Implementations are immutable
-/// after construction, so const Sample calls are thread-safe.
+// The declared privacy model of a release mechanism. Edge-DP and node-DP
+// mechanisms spend epsilon through the PrivacyAccountant; syntactic
+// mechanisms (k-anonymity / t-closeness) carry an epsilon-free ledger and
+// must assert zero spend at validation.
+enum class PrivacyModel {
+  kEdgeDp,
+  kNodeDp,
+  kSyntactic,
+};
+
+const char* PrivacyModelName(PrivacyModel model);
+
+/// \brief Serving handle of a fitted artifact: draws one synthetic graph
+/// per call from the caller's stream. Implementations are immutable after
+/// construction, so const Sample calls are thread-safe.
 class ArtifactSampler {
  public:
   virtual ~ArtifactSampler() = default;
 
   /// Draws one synthetic graph. All randomness comes from `rng`; equal
-  /// streams give bitwise-equal graphs.
-  virtual util::Result<graph::AttributedGraph> Sample(util::Rng& rng) const = 0;
+  /// streams give bitwise-equal graphs. `refine_iterations` is the
+  /// acceptance refinement count (-1 = the engine default) and `pool` the
+  /// workers one sample may use (null = run inline on the calling
+  /// thread); mechanisms without an acceptance loop or intra-sample
+  /// parallelism ignore them. Neither changes the bits.
+  virtual util::Result<graph::AttributedGraph> Sample(
+      util::Rng& rng, int refine_iterations,
+      util::WorkerPool* pool) const = 0;
 
-  /// Resident-byte estimate for the engine cache (see
-  /// ReleaseEngine::ApproxBytes).
+  /// Resident-byte estimate of the serving state beyond the artifact
+  /// itself (see ReleaseEngine::ApproxBytes).
   virtual uint64_t ApproxBytes() const = 0;
 };
 
@@ -60,16 +83,21 @@ struct MechanismSpec {
   std::string name;
   std::string description;
   PrivacyModel privacy_model = PrivacyModel::kEdgeDp;
-  /// The AGM pipeline keeps its dedicated serving path inside
-  /// ReleaseEngine (calibration, structural-model registry); its spec has
-  /// no make_sampler.
-  bool builtin_agm = false;
+  /// Fits the artifact. When `stage_seconds` is non-null a mechanism may
+  /// append its per-stage fit timings there (AGM does; the others leave it
+  /// empty and are timed as one "fit" stage).
   std::function<util::Result<pipeline::ReleaseArtifact>(
       const graph::AttributedGraph& input,
-      const pipeline::PipelineConfig& config, util::Rng& rng)>
+      const pipeline::PipelineConfig& config, util::Rng& rng,
+      std::vector<agm::StageSeconds>* stage_seconds)>
       fit;
-  std::function<util::Result<std::shared_ptr<const ArtifactSampler>>(
-      const pipeline::ReleaseArtifact& artifact)>
+  /// Builds the serving handle of a validated artifact under the engine's
+  /// options; `pool` is the engine's pool (AGM calibrates on it). The
+  /// sampler may read `artifact` for its whole lifetime — the engine owns
+  /// both.
+  std::function<util::Result<std::unique_ptr<const ArtifactSampler>>(
+      const pipeline::ReleaseArtifact& artifact,
+      const pipeline::EngineOptions& options, util::WorkerPool* pool)>
       make_sampler;
 };
 

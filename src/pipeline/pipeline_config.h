@@ -27,7 +27,7 @@ struct PipelineConfig {
   /// four-way when the model learns a triangle target, S-heavy three-way
   /// otherwise — Section 5 of the paper).
   dp::BudgetSplit split;
-  /// Release mechanism by tag (mechanisms::KnownMechanismTags): "agm" is
+  /// Release mechanism by registry tag (mechanisms::FindMechanism): "agm" is
   /// the paper's pipeline; "community_dp" and "kanon_baseline" are the
   /// competing publication schemes in src/mechanisms/.
   std::string mechanism = "agm";
@@ -103,10 +103,11 @@ struct ReleaseResult {
   double epsilon_budget = 0.0;
   double epsilon_spent = 0.0;
   /// Wall clock per stage: theta_x, theta_f, degree_sequence,
-  /// [triangles,] sample.
+  /// [triangles,] sample for "agm"; fit, sample for the other mechanisms.
   std::vector<agm::StageSeconds> stage_seconds;
   double total_seconds = 0.0;
-  /// Registry name of the structural model that produced the graph.
+  /// The artifact's model: the structural model's registry name for
+  /// "agm", the mechanism tag for the other mechanisms.
   std::string model;
 };
 

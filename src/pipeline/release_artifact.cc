@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/agm/params_io.h"
+#include "src/mechanisms/release_mechanism.h"
 #include "src/util/json.h"
 
 namespace agmdp::pipeline {
@@ -235,10 +236,10 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   // The mechanism tag gates everything downstream (engine construction,
   // registry rows, sweep cells), so an unknown tag is rejected here — at
   // every read boundary — with the set of tags this build can serve.
-  if (!mechanisms::IsKnownMechanismTag(artifact.mechanism)) {
+  if (mechanisms::FindMechanism(artifact.mechanism) == nullptr) {
     return Invalid("unknown mechanism '" + artifact.mechanism +
                    "' (this build serves: " +
-                   mechanisms::KnownMechanismTagList() + ")");
+                   mechanisms::MechanismNameList() + ")");
   }
   if (artifact.model.empty()) return Invalid("empty model name");
   if (!std::isfinite(artifact.epsilon_budget) ||

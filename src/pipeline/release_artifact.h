@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
-#include "src/mechanisms/mechanism_tags.h"
 #include "src/pipeline/pipeline_config.h"
 #include "src/util/status.h"
 
@@ -62,7 +61,7 @@ struct MechanismPayload {
 /// \brief A stored private release: parameters + ledger + provenance.
 struct ReleaseArtifact {
   int schema_version = kReleaseArtifactSchemaVersion;
-  /// Release mechanism by registry tag (mechanisms::KnownMechanismTags).
+  /// Release mechanism by registry tag (mechanisms::FindMechanism).
   /// Validated at every read boundary; unknown tags are a typed
   /// InvalidArgument, never silently served.
   std::string mechanism = "agm";

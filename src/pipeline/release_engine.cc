@@ -3,105 +3,42 @@
 #include <utility>
 
 #include "src/mechanisms/release_mechanism.h"
-#include "src/pipeline/model_registry.h"
 
 namespace agmdp::pipeline {
 
-namespace {
-
-/// Base seed of the calibration substream family. The calibration draw is
-/// a pure function of (this constant, the artifact fingerprint), so two
-/// engines built from the same artifact calibrate identically — at any
-/// pool size, on any machine.
-constexpr uint64_t kCalibrationSeed = 0xa6dca11b7a7e5eedULL;
-
-}  // namespace
-
 util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     ReleaseArtifact artifact, const EngineOptions& options) {
+  // Rejects, among others, a tag the mechanism registry does not know.
   if (auto st = ValidateReleaseArtifact(artifact); !st.ok()) return st;
   if (options.default_refine_iterations < 0) {
     return util::Status::InvalidArgument(
         "release engine: default_refine_iterations must be >= 0");
   }
-
-  // Non-AGM mechanisms: resolve the sampling handle from the mechanism
-  // registry and skip the structural-model / calibration machinery —
-  // their artifacts fully describe the sampling distribution, and the
-  // Substream request keying in Sample/SampleMany supplies determinism.
-  if (artifact.mechanism != "agm") {
-    const mechanisms::MechanismSpec* mech =
-        mechanisms::FindMechanism(artifact.mechanism);
-    if (mech == nullptr || !mech->make_sampler) {
-      return util::Status::InvalidArgument(
-          "release engine: mechanism '" + artifact.mechanism +
-          "' has no registered sampler (registered: " +
-          mechanisms::MechanismNameList() + ")");
-    }
-    auto sampler = mech->make_sampler(artifact);
-    if (!sampler.ok()) return sampler.status();
-    std::unique_ptr<ReleaseEngine> engine(
-        new ReleaseEngine(std::move(artifact), options,
-                          agm::AgmSampleOptions{}, /*owned_pool_workers=*/0));
-    engine->sampler_ = std::move(sampler).value();
-    return engine;
-  }
-
-  const StructuralModelSpec* spec = FindStructuralModel(artifact.model);
-  if (spec == nullptr) {
-    return util::Status::InvalidArgument(
-        "release engine: artifact model '" + artifact.model +
-        "' is not registered (registered: " + StructuralModelNameList() +
-        ")");
-  }
-
-  // Resolve the sampler options once: caller knobs, then the artifact's
-  // baked acceptance settings, then the registry's model binding.
-  agm::AgmSampleOptions base = options.sample;
-  base.acceptance_iterations = artifact.acceptance_iterations;
-  base.acceptance_tolerance = artifact.acceptance_tolerance;
-  base.min_acceptance = artifact.min_acceptance;
-  base.pool = nullptr;
-  base.initial_acceptance = nullptr;
-  base.final_acceptance = nullptr;
-  if (spec->builtin) {
-    base.model = spec->kind;
-    base.generator = nullptr;
-  } else {
-    base.generator = spec->generator;
-  }
+  const mechanisms::MechanismSpec* mechanism =
+      mechanisms::FindMechanism(artifact.mechanism);
 
   const int owned_pool_workers =
       options.pool != nullptr ? 0 : agm::SamplerPoolWorkers(options.threads);
   std::unique_ptr<ReleaseEngine> engine(new ReleaseEngine(
-      std::move(artifact), options, std::move(base), owned_pool_workers));
-
-  if (options.calibrate && engine->base_options_.acceptance_iterations > 0) {
-    agm::AgmSampleOptions calibration = engine->base_options_;
-    calibration.pool = engine->pool_;
-    calibration.final_acceptance = &engine->calibrated_acceptance_;
-    util::Rng rng = util::Rng::Substream(
-        kCalibrationSeed, engine->artifact_.config_fingerprint);
-    auto sample =
-        agm::SampleAgmGraph(engine->artifact_.params, calibration, rng);
-    if (!sample.ok()) return sample.status();
-  }
+      std::move(artifact), options.pool, owned_pool_workers));
+  auto sampler =
+      mechanism->make_sampler(engine->artifact_, options, engine->pool_);
+  if (!sampler.ok()) return sampler.status();
+  engine->sampler_ = std::move(sampler).value();
   return engine;
 }
 
 ReleaseEngine::ReleaseEngine(ReleaseArtifact artifact,
-                             const EngineOptions& options,
-                             agm::AgmSampleOptions base_options,
+                             util::WorkerPool* borrowed_pool,
                              int owned_pool_workers)
-    : artifact_(std::move(artifact)),
-      options_(options),
-      base_options_(std::move(base_options)),
-      pool_(options.pool) {
+    : artifact_(std::move(artifact)), pool_(borrowed_pool) {
   if (owned_pool_workers > 0) {
     owned_pool_.emplace(owned_pool_workers);
     pool_ = &*owned_pool_;
   }
 }
+
+ReleaseEngine::~ReleaseEngine() = default;
 
 uint64_t ReleaseEngine::ApproxBytes() const {
   // Per-worker overhead approximates a parked thread: kernel stack plus
@@ -109,48 +46,18 @@ uint64_t ReleaseEngine::ApproxBytes() const {
   // guardrail, not an allocator audit. Only an owned pool counts: a
   // borrowed one is shared, and its owner carries it.
   constexpr uint64_t kPerWorkerBytes = 64 * 1024;
-  if (sampler_ != nullptr) {
-    return EstimateArtifactBytes(artifact_) + sampler_->ApproxBytes() +
-           sizeof(ReleaseEngine);
-  }
-  return EstimateArtifactBytes(artifact_) +
-         calibrated_acceptance_.size() * sizeof(double) +
+  return EstimateArtifactBytes(artifact_) + sampler_->ApproxBytes() +
          (owned_pool_ ? static_cast<uint64_t>(owned_pool_->num_workers())
                       : 0) *
              kPerWorkerBytes +
          sizeof(ReleaseEngine);
 }
 
-agm::AgmSampleOptions ReleaseEngine::RequestOptions(
-    int refine_iterations) const {
-  agm::AgmSampleOptions resolved = base_options_;
-  if (calibrated()) {
-    resolved.initial_acceptance = &calibrated_acceptance_;
-    resolved.acceptance_iterations =
-        refine_iterations >= 0 ? refine_iterations
-                               : options_.default_refine_iterations;
-  }
-  return resolved;
-}
-
 util::Result<graph::AttributedGraph> ReleaseEngine::Sample(
     const SampleRequest& request) const {
-  if (sampler_ != nullptr) {
-    // Same request keying as the AGM path; the sampler is immutable, so
-    // concurrent requests need no coordination.
-    util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
-    return sampler_->Sample(rng);
-  }
-  agm::AgmSampleOptions resolved = RequestOptions(request.refine_iterations);
   util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
-  if (request.threads <= 1) {
-    // Inline sequential sampling: no shared state, so concurrent requests
-    // proceed in parallel without coordination.
-    resolved.threads = 1;
-    return agm::SampleAgmGraph(artifact_.params, resolved, rng);
-  }
-  resolved.pool = pool_;
-  return agm::SampleAgmGraph(artifact_.params, resolved, rng);
+  return sampler_->Sample(rng, request.refine_iterations,
+                          request.threads <= 1 ? nullptr : pool_);
 }
 
 util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
@@ -159,29 +66,12 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
     return util::Status::InvalidArgument(
         "release engine: SampleMany needs n >= 0");
   }
-  if (sampler_ != nullptr) {
-    // Each task is exactly Sample({seed, sequence + i}); per-sample cost
-    // is one block-model draw, so a sequential loop already saturates the
-    // request path and stays trivially bitwise-stable at any pool size.
-    std::vector<graph::AttributedGraph> graphs;
-    graphs.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      util::Rng rng = util::Rng::Substream(
-          base.seed, base.sequence + static_cast<uint64_t>(i));
-      auto sample = sampler_->Sample(rng);
-      if (!sample.ok()) return sample.status();
-      graphs.push_back(std::move(sample).value());
-    }
-    return graphs;
-  }
   if (n == 1) {
     // A single request gains nothing from cross-sample fan-out; hand it
     // the whole pool for intra-sample parallelism instead. The pool never
     // affects bits, so the result is identical either way.
-    agm::AgmSampleOptions resolved = RequestOptions(base.refine_iterations);
     util::Rng rng = util::Rng::Substream(base.seed, base.sequence);
-    resolved.pool = pool_;
-    auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
+    auto sample = sampler_->Sample(rng, base.refine_iterations, pool_);
     if (!sample.ok()) return sample.status();
     std::vector<graph::AttributedGraph> graphs;
     graphs.push_back(std::move(sample).value());
@@ -192,11 +82,9 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
   pool_->Run(n, [&](int i) {
     // Task i is exactly Sample({seed, sequence + i, refine, threads: 1})
     // — a pure function of the request, so scheduling cannot change it.
-    agm::AgmSampleOptions resolved = RequestOptions(base.refine_iterations);
-    resolved.threads = 1;
     util::Rng rng = util::Rng::Substream(
         base.seed, base.sequence + static_cast<uint64_t>(i));
-    auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
+    auto sample = sampler_->Sample(rng, base.refine_iterations, nullptr);
     if (sample.ok()) {
       graphs[static_cast<size_t>(i)] = std::move(sample).value();
     } else {
@@ -211,10 +99,7 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
 
 util::Result<graph::AttributedGraph> ReleaseEngine::SampleFromStream(
     util::Rng& rng) const {
-  if (sampler_ != nullptr) return sampler_->Sample(rng);
-  agm::AgmSampleOptions resolved = RequestOptions(/*refine_iterations=*/-1);
-  resolved.pool = pool_;
-  return agm::SampleAgmGraph(artifact_.params, resolved, rng);
+  return sampler_->Sample(rng, /*refine_iterations=*/-1, pool_);
 }
 
 }  // namespace agmdp::pipeline

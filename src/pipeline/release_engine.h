@@ -3,16 +3,20 @@
 //
 // Fit once / sample many (Theorem 2): the artifact's parameters were
 // learned under the accountant, so every sample the engine serves is pure
-// post-processing at zero additional privacy cost. The engine amortizes
-// everything that does not depend on the individual sample:
+// post-processing at zero additional privacy cost. The engine serves every
+// registered release mechanism the same way: Create resolves the
+// artifact's tag in the mechanism registry (src/mechanisms/) and keeps the
+// mechanisms::ArtifactSampler it builds, which holds all mechanism-specific
+// serving state (for "agm": the structural-model resolution and the
+// calibrated acceptance vector). The engine itself only owns what every
+// mechanism shares:
 //
+//   * validation of the artifact and the options;
 //   * one persistent util::WorkerPool for the sampler hot path (no thread
 //     spawn per request) — its own, or one borrowed from the caller (the
 //     serving daemon shares one pool across every engine it builds);
-//   * optionally, one calibration run at construction whose converged
-//     acceptance vector A warm-starts every request — steady-state serving
-//     then generates the structure once through the calibrated filter
-//     instead of iterating the full cold acceptance loop per sample.
+//   * the request keying below, and a SampleMany that fans out over the
+//     pool.
 //
 // Determinism / threading contract: Sample(request) is thread-safe and
 // draws exclusively from util::Rng::Substream(request.seed,
@@ -40,6 +44,8 @@ class ArtifactSampler;
 
 namespace agmdp::pipeline {
 
+/// The last three fields are read by the "agm" sampler only (the other
+/// mechanisms have no acceptance loop).
 struct EngineOptions {
   /// Serving pool workers (0 = hardware concurrency, capped at the sampler
   /// shard count). The pool size never affects sampled bits. Ignored when
@@ -79,43 +85,36 @@ struct SampleRequest {
   int threads = 1;
 };
 
-/// \brief A fit-once / sample-many serving handle over a ReleaseArtifact.
-///
-/// The engine serves every registered release mechanism behind one
-/// interface: "agm" artifacts take the dedicated calibrated path below,
-/// any other tag resolves a mechanisms::ArtifactSampler from the mechanism
-/// registry and delegates to it under the same Substream(seed, sequence)
-/// request keying — so the cache, the daemon, and the CLI never branch on
-/// the mechanism themselves.
+/// \brief A fit-once / sample-many serving handle over a ReleaseArtifact,
+/// for every registered release mechanism alike — so the cache, the
+/// daemon, and the CLI never branch on the mechanism themselves.
 class ReleaseEngine {
  public:
-  /// Validates the artifact (schema version, mechanism tag, registry
-  /// model, parameter sanity), spawns the persistent pool, and runs the
-  /// calibration sample when requested (AGM only; other mechanisms have
-  /// no acceptance loop to calibrate).
+  /// Validates the artifact (schema version, registered mechanism tag,
+  /// mechanism-specific sanity) and the options, sets up the pool, and
+  /// builds the mechanism's sampler on it (for "agm": resolves the
+  /// structural model and runs the calibration sample when requested).
   static util::Result<std::unique_ptr<ReleaseEngine>> Create(
       ReleaseArtifact artifact, const EngineOptions& options = {});
 
   ReleaseEngine(const ReleaseEngine&) = delete;
   ReleaseEngine& operator=(const ReleaseEngine&) = delete;
+  ~ReleaseEngine();
 
   const ReleaseArtifact& artifact() const { return artifact_; }
 
+  /// The mechanism's serving handle (see mechanisms::ArtifactSampler).
+  const mechanisms::ArtifactSampler& sampler() const { return *sampler_; }
+
   /// Approximate resident bytes of this serving handle: the artifact's
-  /// parameter vectors plus the calibrated acceptance vector and, for a
-  /// pool the engine owns, a fixed per-worker overhead (thread stack +
+  /// parameter vectors plus the sampler's serving state and, for a pool
+  /// the engine owns, a fixed per-worker overhead (thread stack +
   /// bookkeeping). A borrowed pool is charged to its owner, not to every
   /// engine that runs on it. The sizing hook the server's byte-budgeted
   /// engine cache charges admissions by; an estimate, not an audit —
   /// stable for a given artifact and pool size, which is what budget
   /// arithmetic needs.
   uint64_t ApproxBytes() const;
-
-  /// Whether requests are served from a calibrated acceptance vector.
-  bool calibrated() const { return !calibrated_acceptance_.empty(); }
-  const std::vector<double>& calibrated_acceptance() const {
-    return calibrated_acceptance_;
-  }
 
   /// Serves one request. Thread-safe; see the determinism contract above.
   util::Result<graph::AttributedGraph> Sample(
@@ -136,34 +135,22 @@ class ReleaseEngine {
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:
-  /// Runs on options.pool, or on an owned pool of `owned_pool_workers`
+  /// Runs on `borrowed_pool`, or on an owned pool of `owned_pool_workers`
   /// when that is > 0.
-  ReleaseEngine(ReleaseArtifact artifact, const EngineOptions& options,
-                agm::AgmSampleOptions base_options, int owned_pool_workers);
-
-  /// The resolved sampler options for one request (warm start + refinement
-  /// count applied when calibrated).
-  agm::AgmSampleOptions RequestOptions(int refine_iterations) const;
+  ReleaseEngine(ReleaseArtifact artifact, util::WorkerPool* borrowed_pool,
+                int owned_pool_workers);
 
   const ReleaseArtifact artifact_;
-  const EngineOptions options_;
-  /// Registry-resolved sampler options (model kind / generator bound,
-  /// artifact acceptance defaults applied).
-  agm::AgmSampleOptions base_options_;
-  /// Converged acceptance vector of the calibration sample; empty when the
-  /// engine is not calibrated.
-  std::vector<double> calibrated_acceptance_;
-  /// Mechanism-registry sampling handle; null for "agm" artifacts (which
-  /// use the sampler path below). When set, every Sample* method
-  /// delegates to it.
-  std::shared_ptr<const mechanisms::ArtifactSampler> sampler_;
   /// The persistent serving pool, when the engine owns it.
   std::optional<util::WorkerPool> owned_pool_;
   /// The pool every pooled request runs on: &*owned_pool_ or the borrowed
-  /// EngineOptions::pool (unused by non-AGM mechanisms). Concurrent users
-  /// take turns inside WorkerPool::Run; requests with threads <= 1 never
-  /// touch it and run fully concurrently.
+  /// EngineOptions::pool. Concurrent users take turns inside
+  /// WorkerPool::Run; requests with threads <= 1 never touch it and run
+  /// fully concurrently.
   util::WorkerPool* pool_ = nullptr;
+  /// Built by the registry's make_sampler; reads artifact_, so it is
+  /// declared after it (and destroyed first).
+  std::unique_ptr<const mechanisms::ArtifactSampler> sampler_;
 };
 
 }  // namespace agmdp::pipeline

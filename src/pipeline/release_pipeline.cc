@@ -39,20 +39,32 @@ agm::AgmDpOptions MakeLearnOptions(const PipelineConfig& config,
 // sampling semantics exactly: cold acceptance loop, config sample knobs,
 // pool sized by config.sample.threads.
 util::Result<std::unique_ptr<ReleaseEngine>> MakeOneShotEngine(
-    const agm::AgmParams& params, const PipelineConfig& config) {
+    ReleaseArtifact artifact, const PipelineConfig& config) {
   EngineOptions options;
   options.threads = config.sample.threads;
   options.calibrate = false;
   options.sample = config.sample;
-  return ReleaseEngine::Create(MakeReleaseArtifact(params, config), options);
+  return ReleaseEngine::Create(std::move(artifact), options);
 }
 
-// The fit half, with the config already validated (shared by
-// FitPrivateParams and RunPrivateRelease so validation happens in exactly
-// one place, before any budget is spent).
-util::Result<FitResult> FitValidated(const graph::AttributedGraph& input,
-                                     const PipelineConfig& config,
-                                     util::Rng& rng) {
+// Validates the config (before any budget is spent) and fits through the
+// mechanism registry; `stage_seconds` receives the mechanism's per-stage
+// fit timings, if it reports any.
+util::Result<ReleaseArtifact> FitArtifact(
+    const graph::AttributedGraph& input, const PipelineConfig& config,
+    util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds) {
+  // Validate() rejects a tag the registry does not know.
+  if (auto st = config.Validate(); !st.ok()) return st;
+  return mechanisms::FindMechanism(config.mechanism)
+      ->fit(input, config, rng, stage_seconds);
+}
+
+}  // namespace
+
+util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
+                                         const PipelineConfig& config,
+                                         util::Rng& rng) {
+  if (auto st = config.Validate(); !st.ok()) return st;
   const StructuralModelSpec* spec = FindStructuralModel(config.model);
 
   dp::PrivacyAccountant accountant(config.epsilon);
@@ -70,37 +82,10 @@ util::Result<FitResult> FitValidated(const graph::AttributedGraph& input,
   return result;
 }
 
-}  // namespace
-
-util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
-                                         const PipelineConfig& config,
-                                         util::Rng& rng) {
-  if (auto st = config.Validate(); !st.ok()) return st;
-  return FitValidated(input, config, rng);
-}
-
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng) {
-  // Mechanism dispatch: non-AGM schemes fit through their registry entry
-  // (each charging its own accountant); the AGM path below is byte-for-byte
-  // the pre-registry pipeline, so existing artifacts and golden checksums
-  // are untouched.
-  if (config.mechanism != "agm") {
-    if (auto st = config.Validate(); !st.ok()) return st;
-    const mechanisms::MechanismSpec* mech =
-        mechanisms::FindMechanism(config.mechanism);
-    if (mech == nullptr || !mech->fit) {
-      return util::Status::InvalidArgument(
-          "release pipeline: mechanism '" + config.mechanism +
-          "' has no registered fit (registered: " +
-          mechanisms::MechanismNameList() + ")");
-    }
-    return mech->fit(input, config, rng);
-  }
-  auto fit = FitPrivateParams(input, config, rng);
-  if (!fit.ok()) return fit.status();
-  return MakeReleaseArtifact(fit.value(), config);
+  return FitArtifact(input, config, rng, /*stage_seconds=*/nullptr);
 }
 
 util::Result<graph::AttributedGraph> SampleRelease(
@@ -110,7 +95,7 @@ util::Result<graph::AttributedGraph> SampleRelease(
   // estimator knobs) are deliberately not validated here; engine creation
   // checks everything sampling actually reads (model resolution,
   // acceptance knobs, parameter sanity).
-  auto engine = MakeOneShotEngine(params, config);
+  auto engine = MakeOneShotEngine(MakeReleaseArtifact(params, config), config);
   if (!engine.ok()) return engine.status();
   return engine.value()->SampleFromStream(rng);
 }
@@ -119,57 +104,29 @@ util::Result<ReleaseResult> RunPrivateRelease(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng) {
   const Clock::time_point start = Clock::now();
-  if (auto st = config.Validate(); !st.ok()) return st;
-
-  // Non-AGM mechanisms: fit through the registry, serve one sample from
-  // the stream via an uncalibrated engine, and report the artifact's
-  // ledger (empty with zero spend for syntactic baselines).
-  if (config.mechanism != "agm") {
-    auto artifact = FitReleaseArtifact(input, config, rng);
-    if (!artifact.ok()) return artifact.status();
-    const double fit_seconds = SecondsSince(start);
-
-    const Clock::time_point sample_start = Clock::now();
-    EngineOptions engine_options;
-    engine_options.calibrate = false;
-    auto engine =
-        ReleaseEngine::Create(std::move(artifact).value(), engine_options);
-    if (!engine.ok()) return engine.status();
-    auto synthetic = engine.value()->SampleFromStream(rng);
-    if (!synthetic.ok()) return synthetic.status();
-
-    const ReleaseArtifact& fitted = engine.value()->artifact();
-    ReleaseResult result{std::move(synthetic).value(),
-                         fitted.params,
-                         fitted.ledger,
-                         fitted.epsilon_budget,
-                         fitted.epsilon_spent,
-                         {},
-                         0.0,
-                         config.mechanism};
-    result.stage_seconds.push_back({"fit", fit_seconds});
-    result.stage_seconds.push_back({"sample", SecondsSince(sample_start)});
-    result.total_seconds = SecondsSince(start);
-    return result;
+  std::vector<agm::StageSeconds> stage_seconds;
+  auto artifact = FitArtifact(input, config, rng, &stage_seconds);
+  if (!artifact.ok()) return artifact.status();
+  // Mechanisms without a per-stage breakdown are timed as one stage.
+  if (stage_seconds.empty()) {
+    stage_seconds.push_back({"fit", SecondsSince(start)});
   }
 
-  auto fit = FitValidated(input, config, rng);
-  if (!fit.ok()) return fit.status();
-
   const Clock::time_point sample_start = Clock::now();
-  auto engine = MakeOneShotEngine(fit.value().params, config);
+  auto engine = MakeOneShotEngine(std::move(artifact).value(), config);
   if (!engine.ok()) return engine.status();
   auto synthetic = engine.value()->SampleFromStream(rng);
   if (!synthetic.ok()) return synthetic.status();
 
+  const ReleaseArtifact& fitted = engine.value()->artifact();
   ReleaseResult result{std::move(synthetic).value(),
-                       std::move(fit.value().params),
-                       std::move(fit.value().ledger),
-                       fit.value().epsilon_budget,
-                       fit.value().epsilon_spent,
-                       std::move(fit.value().stage_seconds),
+                       fitted.params,
+                       fitted.ledger,
+                       fitted.epsilon_budget,
+                       fitted.epsilon_spent,
+                       std::move(stage_seconds),
                        0.0,
-                       config.model};
+                       fitted.model};
   result.stage_seconds.push_back({"sample", SecondsSince(sample_start)});
   result.total_seconds = SecondsSince(start);
   return result;

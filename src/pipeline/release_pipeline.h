@@ -15,12 +15,15 @@
 //     bitwise-identical at any `sample.threads` setting (see
 //     agm_sampler.h and DESIGN.md).
 //
-// These free functions are thin wrappers over the handle-based serving
-// layer (release_artifact.h / release_engine.h): FitReleaseArtifact
-// packages a fit for storage, and the sampling halves below construct an
-// uncalibrated ReleaseEngine per call so one-shot and serving paths share
-// one code path. Long-lived consumers should hold a ReleaseEngine instead
-// of looping over these — see DESIGN.md "Serving layer".
+// These free functions are thin wrappers over the mechanism registry
+// (src/mechanisms/release_mechanism.h) and the handle-based serving layer
+// (release_artifact.h / release_engine.h): FitReleaseArtifact and the fit
+// half of RunPrivateRelease dispatch on config.mechanism through the
+// registry's fit, and the sampling halves construct an uncalibrated
+// ReleaseEngine per call, so one-shot and serving paths share one code
+// path for every mechanism. Long-lived consumers should hold a
+// ReleaseEngine instead of looping over these — see DESIGN.md "Serving
+// layer".
 #pragma once
 
 #include "src/pipeline/model_registry.h"
@@ -33,15 +36,15 @@ namespace agmdp::pipeline {
 
 /// Learns the private AGM parameters (the only step that touches the
 /// sensitive input) and returns them with the accountant ledger and stage
-/// timings. Fails on an invalid config (PipelineConfig::Validate) before
-/// any budget is spent.
+/// timings — the fit of the "agm" mechanism. Fails on an invalid config
+/// (PipelineConfig::Validate) before any budget is spent.
 util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
                                          const PipelineConfig& config,
                                          util::Rng& rng);
 
-/// Fit + packaging: the artifact a ReleaseEngine (or `agmdp sample`)
-/// consumes, carrying the parameters, the full ledger, and the config
-/// fingerprint.
+/// Fit + packaging through the registry entry of `config.mechanism`: the
+/// artifact a ReleaseEngine (or `agmdp sample`) consumes, carrying the
+/// parameters, the full ledger, and the config fingerprint.
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng);
@@ -52,8 +55,9 @@ util::Result<graph::AttributedGraph> SampleRelease(
     const agm::AgmParams& params, const PipelineConfig& config,
     util::Rng& rng);
 
-/// The end-to-end private release: fit + sample under one accountant, with
-/// per-stage wall-clock metrics in the result.
+/// The end-to-end private release of `config.mechanism`: fit + sample
+/// under one accountant, with per-stage wall-clock metrics in the result
+/// (AGM's fit stages, or one "fit" stage, then "sample").
 util::Result<ReleaseResult> RunPrivateRelease(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng);

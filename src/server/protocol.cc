@@ -208,7 +208,10 @@ util::Result<Request> ParseRequest(const std::string& line) {
       break;
     case RequestOp::kSample:
       if (request.name.empty()) return Invalid("sample needs 'name'");
-      if (request.count < 1) return Invalid("'count' must be >= 1");
+      if (request.count < 1 || request.count > kMaxSampleCount) {
+        return Invalid("'count' must be in [1, " +
+                       std::to_string(kMaxSampleCount) + "]");
+      }
       if (request.refine_iterations < -1) {
         return Invalid("'refine' must be >= -1");
       }

@@ -45,6 +45,12 @@ inline constexpr int kProtocolVersion = 1;
 /// and far below anything that could pressure the parser.
 inline constexpr size_t kMaxRequestBytes = 64 * 1024;
 inline constexpr int kMaxRequestDepth = 8;
+/// Cap on a sample request's `count`, and on the run of contiguous
+/// requests the daemon coalesces into one ReleaseEngine::SampleMany call.
+/// SampleMany allocates a slot per graph before any work, so an unbounded
+/// count would be an unbounded allocation on a daemon worker; a larger
+/// count is a typed InvalidArgument at parse time.
+inline constexpr int kMaxSampleCount = 1024;
 
 enum class RequestOp {
   kLoad,      // build + admit an engine from an artifact file
@@ -86,7 +92,8 @@ struct Request {
 
 /// Parses one request line under the protocol caps. Any malformed input —
 /// bad JSON, adversarial nesting, oversized line, unknown op, wrong field
-/// type, negative count — is a typed InvalidArgument.
+/// type, a count outside [1, kMaxSampleCount] — is a typed
+/// InvalidArgument.
 util::Result<Request> ParseRequest(const std::string& line);
 
 /// Serializes a request as one line (no trailing newline) — the client

@@ -452,25 +452,27 @@ void Server::ExecuteBatch(std::vector<Job>& batch) {
     return a->request.sequence < b->request.sequence;
   });
 
-  // Coalesce contiguous sequence ranges into single SampleMany calls.
+  // Coalesce contiguous sequence ranges into single SampleMany calls of at
+  // most kMaxSampleCount graphs (every parsed request fits one alone).
   // Each graph is a pure function of (seed, sequence), so the regrouping
   // is bitwise-identical to serving every request alone.
   size_t i = 0;
   while (i < active.size()) {
     const uint64_t run_start = active[i]->request.sequence;
-    uint64_t run_end = run_start + static_cast<uint64_t>(
-                                       active[i]->request.count);
+    int run_count = active[i]->request.count;
     size_t j = i + 1;
-    while (j < active.size() && active[j]->request.sequence == run_end) {
-      run_end += static_cast<uint64_t>(active[j]->request.count);
+    while (j < active.size() &&
+           active[j]->request.sequence ==
+               run_start + static_cast<uint64_t>(run_count) &&
+           active[j]->request.count <= kMaxSampleCount - run_count) {
+      run_count += active[j]->request.count;
       ++j;
     }
     pipeline::SampleRequest base;
     base.seed = head.seed;
     base.sequence = run_start;
     base.refine_iterations = head.refine_iterations;
-    auto graphs = engine.SampleMany(static_cast<int>(run_end - run_start),
-                                    base);
+    auto graphs = engine.SampleMany(run_count, base);
     if (!graphs.ok()) {
       for (size_t k = i; k < j; ++k) {
         WriteResponse(active[k]->conn,

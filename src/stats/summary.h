@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "src/graph/attributed_graph.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 
 namespace agmdp::stats {
 
@@ -21,16 +19,16 @@ struct GraphSummary {
   double global_clustering = 0.0;
 };
 
-GraphSummary Summarize(const graph::Graph& g);
-/// Snapshot path: identical values, with the triangle work parallelized
-/// over `threads` workers (<= 0 selects hardware concurrency).
+/// Table 6 columns of a snapshot, with the triangle work parallelized over
+/// `threads` workers (<= 0 selects hardware concurrency).
 GraphSummary Summarize(const graph::CsrGraph& g, int threads = 1);
 
 /// Fixed-width single-line rendering, e.g. for Table 6 style output.
 std::string FormatSummary(const std::string& name, const GraphSummary& s);
 
 /// The error columns of Tables 2-5, comparing a synthetic graph against the
-/// original input (Section 5.1 statistics).
+/// original input (Section 5.1 statistics). Computed by
+/// eval::EvaluateRelease (UtilityReport::errors).
 struct UtilityErrors {
   // ΘF column. The paper's text says MRE but the reported magnitudes (and
   // Figures 1/5) match the MAE of the correlation probability vectors, so
@@ -43,13 +41,6 @@ struct UtilityErrors {
   double avg_clustering_re = 0.0;  // C̄
   double global_clustering_re = 0.0;  // C
   double edges_re = 0.0;        // m
-
-  UtilityErrors& operator+=(const UtilityErrors& o);
-  UtilityErrors operator/(double k) const;
 };
-
-/// Computes all Tables 2-5 statistics for a synthetic graph vs the input.
-UtilityErrors CompareGraphs(const graph::AttributedGraph& original,
-                            const graph::AttributedGraph& synthetic);
 
 }  // namespace agmdp::stats

@@ -9,9 +9,9 @@
 #include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
 #include "src/graph/graph_io.h"
 #include "src/stats/metrics.h"
-#include "src/stats/summary.h"
 #include "src/util/rng.h"
 
 namespace agmdp {
@@ -44,8 +44,8 @@ TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   auto result = agm::SynthesizeAgmDp(*input_, options, rng);
   ASSERT_TRUE(result.ok());
 
-  stats::UtilityErrors errors =
-      stats::CompareGraphs(*input_, result.value().graph);
+  const stats::UtilityErrors errors =
+      eval::EvaluateRelease(*input_, result.value().graph).errors;
   // Coarse utility gates mirroring the shape of Table 2 at eps = ln 3 (wide
   // tolerances: a single trial on a quarter-scale stand-in).
   EXPECT_LT(errors.theta_f_hellinger, 0.45);
@@ -67,14 +67,17 @@ TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
   agm::AgmDpOptions fcl = tri;
   fcl.model = agm::StructuralModelKind::kFcl;
 
+  const eval::ReferenceProfile original = eval::ProfileReference(*input_);
   double tri_err = 0.0, fcl_err = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
     auto rt = agm::SynthesizeAgmDp(*input_, tri, rng);
     auto rf = agm::SynthesizeAgmDp(*input_, fcl, rng);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(rf.ok());
-    tri_err += stats::CompareGraphs(*input_, rt.value().graph).triangles_re;
-    fcl_err += stats::CompareGraphs(*input_, rf.value().graph).triangles_re;
+    tri_err +=
+        eval::EvaluateRelease(original, rt.value().graph).errors.triangles_re;
+    fcl_err +=
+        eval::EvaluateRelease(original, rf.value().graph).errors.triangles_re;
   }
   EXPECT_LT(tri_err, fcl_err);
 }
@@ -100,6 +103,7 @@ TEST_F(EndToEndTest, SyntheticGraphRoundTripsThroughDisk) {
 TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
   // Across a 50x epsilon range the error should not blow up catastrophically
   // and should generally grow as epsilon shrinks.
+  const eval::ReferenceProfile original = eval::ProfileReference(*input_);
   double err_weak = 0.0, err_strong = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
     util::Rng rng(200 + trial);
@@ -112,10 +116,10 @@ TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
     auto rs = agm::SynthesizeAgmDp(*input_, strong, rng);
     ASSERT_TRUE(rw.ok());
     ASSERT_TRUE(rs.ok());
-    err_weak +=
-        stats::CompareGraphs(*input_, rw.value().graph).theta_f_hellinger;
-    err_strong +=
-        stats::CompareGraphs(*input_, rs.value().graph).theta_f_hellinger;
+    err_weak += eval::EvaluateRelease(original, rw.value().graph)
+                    .errors.theta_f_hellinger;
+    err_strong += eval::EvaluateRelease(original, rs.value().graph)
+                      .errors.theta_f_hellinger;
   }
   EXPECT_LT(err_weak, err_strong);
 }

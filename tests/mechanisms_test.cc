@@ -14,7 +14,6 @@
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
 #include "src/graph/attributed_graph.h"
-#include "src/mechanisms/mechanism_tags.h"
 #include "src/mechanisms/release_mechanism.h"
 #include "src/pipeline/release_artifact.h"
 #include "src/pipeline/release_engine.h"
@@ -65,16 +64,15 @@ bool GraphsEqual(const graph::AttributedGraph& a,
 
 TEST(MechanismRegistryTest, ListsEveryKnownTagWithItsPrivacyModel) {
   const std::vector<std::string> names = mechanisms::MechanismNames();
-  ASSERT_EQ(names.size(), mechanisms::KnownMechanismTags().size());
-  for (const std::string& tag : mechanisms::KnownMechanismTags()) {
-    EXPECT_TRUE(mechanisms::IsKnownMechanismTag(tag)) << tag;
+  EXPECT_EQ(names, (std::vector<std::string>{"agm", "community_dp",
+                                             "kanon_baseline"}));
+  for (const std::string& tag : names) {
     const mechanisms::MechanismSpec* spec = mechanisms::FindMechanism(tag);
     ASSERT_NE(spec, nullptr) << tag;
     EXPECT_EQ(spec->name, tag);
+    // Every mechanism, agm included, fits and serves through its entry.
     EXPECT_TRUE(spec->fit != nullptr) << tag;
-    // AGM keeps its dedicated engine path; every other mechanism must
-    // provide the sampler the engine delegates to.
-    EXPECT_EQ(spec->make_sampler == nullptr, spec->builtin_agm) << tag;
+    EXPECT_TRUE(spec->make_sampler != nullptr) << tag;
   }
   EXPECT_EQ(mechanisms::FindMechanism("agm")->privacy_model,
             mechanisms::PrivacyModel::kEdgeDp);
@@ -169,6 +167,23 @@ TEST(MechanismArtifactTest, UnknownTagIsRejectedAtRead) {
             std::string::npos);
   EXPECT_NE(parsed.status().message().find("community_dp"),
             std::string::npos);
+
+  // The other read boundaries ask the same registry.
+  pipeline::ReleaseArtifact tagged = artifact.value();
+  tagged.mechanism = "zkp_wizardry";
+  pipeline::PipelineConfig config = Config("community_dp", 0.7);
+  config.mechanism = "zkp_wizardry";
+  const util::Status statuses[] = {
+      pipeline::ValidateReleaseArtifact(tagged),
+      pipeline::ReleaseEngine::Create(tagged).status(),
+      config.Validate(),
+  };
+  for (const util::Status& status : statuses) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("kanon_baseline"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(MechanismArtifactTest, AgmArtifactsMustNotCarryAPayload) {

@@ -304,6 +304,86 @@ TEST(GoldenReleaseTest, EngineSampleManyReproducesPinnedChecksums) {
   }
 }
 
+pipeline::PipelineConfig GoldenConfig(const std::string& mechanism,
+                                      const std::string& model) {
+  pipeline::PipelineConfig config = GoldenConfig(model);
+  config.mechanism = mechanism;
+  return config;
+}
+
+// The fitted artifacts are pinned too, for every registered mechanism:
+// ReleaseArtifactReleaseKey is an FNV-1a hash of the canonical artifact
+// JSON, so one moved parameter, ledger entry or payload byte changes it.
+// Same input, seed and epsilon as kGolden.
+TEST(GoldenReleaseTest, ArtifactReleaseKeysArePinnedForEveryMechanism) {
+  struct GoldenKey {
+    const char* mechanism;
+    const char* model;
+    uint64_t release_key;
+  };
+  constexpr GoldenKey kKeys[] = {
+      {"agm", "fcl", 466166127235952473ull},
+      {"agm", "tricycle", 10621472169661009951ull},
+      {"community_dp", "tricycle", 16400382823286462595ull},
+      {"kanon_baseline", "tricycle", 17136845375720848825ull},
+  };
+  for (const GoldenKey& golden : kKeys) {
+    util::Rng rng(kGoldenSeed);
+    auto artifact = pipeline::FitReleaseArtifact(
+        Input(), GoldenConfig(golden.mechanism, golden.model), rng);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    EXPECT_EQ(pipeline::ReleaseArtifactReleaseKey(artifact.value()),
+              golden.release_key)
+        << golden.mechanism << "/" << golden.model;
+  }
+}
+
+// The non-AGM mechanisms' served samples: RunPrivateRelease at 1 and 4
+// sampler threads, and SampleMany(4) from sequence 0 at pool sizes 1 and 4
+// (kGolden pins agm's).
+TEST(GoldenReleaseTest, OtherMechanismsReproducePinnedChecksums) {
+  struct GoldenMechanism {
+    const char* mechanism;
+    uint64_t release;
+    uint64_t many[4];
+  };
+  constexpr GoldenMechanism kMechanisms[] = {
+      {"community_dp",
+       18075107873809336131ull,
+       {6125703947420633643ull, 15661406566601848180ull,
+        14144980012001270852ull, 7972800143382358036ull}},
+      {"kanon_baseline",
+       4529381849188950443ull,
+       {1921082550759541406ull, 13733500667742896727ull,
+        11417878189492532286ull, 7097548240104619442ull}},
+  };
+  for (const GoldenMechanism& golden : kMechanisms) {
+    const pipeline::PipelineConfig config =
+        GoldenConfig(golden.mechanism, "tricycle");
+    for (int threads : {1, 4}) {
+      pipeline::PipelineConfig threaded = config;
+      threaded.sample.threads = threads;
+      util::Rng rng(kGoldenSeed);
+      auto result = pipeline::RunPrivateRelease(Input(), threaded, rng);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(server::GraphChecksum(result.value().graph), golden.release)
+          << golden.mechanism << " threads=" << threads;
+    }
+    util::Rng rng(kGoldenSeed);
+    auto artifact = pipeline::FitReleaseArtifact(Input(), config, rng);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    for (int threads : {1, 4}) {
+      pipeline::EngineOptions options;
+      options.threads = threads;
+      auto engine = pipeline::ReleaseEngine::Create(artifact.value(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      ExpectSampleManyChecksums(*engine.value(), golden.many,
+                                std::string(golden.mechanism) + " threads=" +
+                                    std::to_string(threads));
+    }
+  }
+}
+
 TEST(SamplerDeterminismTest, SubstreamIsPureAndDistinct) {
   util::Rng a = util::Rng::Substream(123, 0);
   util::Rng b = util::Rng::Substream(123, 0);

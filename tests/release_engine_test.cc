@@ -15,6 +15,7 @@
 
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
+#include "src/mechanisms/agm_mechanism.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/rng.h"
@@ -263,9 +264,14 @@ TEST(ReleaseEngineTest, CalibrationIsAPureFunctionOfTheArtifact) {
   auto a = pipeline::ReleaseEngine::Create(artifact, one);
   auto b = pipeline::ReleaseEngine::Create(artifact, four);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a.value()->calibrated());
-  EXPECT_EQ(a.value()->calibrated_acceptance(),
-            b.value()->calibrated_acceptance());
+  const auto* sampler_a =
+      dynamic_cast<const mechanisms::AgmSampler*>(&a.value()->sampler());
+  const auto* sampler_b =
+      dynamic_cast<const mechanisms::AgmSampler*>(&b.value()->sampler());
+  ASSERT_TRUE(sampler_a != nullptr && sampler_b != nullptr);
+  EXPECT_TRUE(sampler_a->calibrated());
+  EXPECT_EQ(sampler_a->calibrated_acceptance(),
+            sampler_b->calibrated_acceptance());
 }
 
 TEST(ReleaseEngineTest, TriangleModelServesWellFormedGraphs) {

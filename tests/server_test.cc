@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -93,12 +94,39 @@ std::shared_ptr<pipeline::ReleaseEngine> MakeEngine(uint64_t seed) {
   return std::move(engine).value();
 }
 
+/// A community_dp release of the same input, written next to the test
+/// binary; returns the path.
+const pipeline::ReleaseArtifact& CommunityArtifact() {
+  static const pipeline::ReleaseArtifact* artifact = [] {
+    pipeline::PipelineConfig config = TestConfig();
+    config.mechanism = "community_dp";
+    util::Rng rng(9);
+    auto fitted = pipeline::FitReleaseArtifact(Input(), config, rng);
+    AGMDP_CHECK_MSG(fitted.ok(), fitted.status().ToString().c_str());
+    return new pipeline::ReleaseArtifact(std::move(fitted).value());
+  }();
+  return *artifact;
+}
+
+std::string CommunityArtifactFile() {
+  const std::string path = "server_test_artifact_community_dp.json";
+  auto st = pipeline::WriteReleaseArtifact(CommunityArtifact(), path);
+  AGMDP_CHECK_MSG(st.ok(), st.ToString().c_str());
+  return path;
+}
+
 /// The sequential oracle: checksums of Sample({seed, sequence}) for
-/// sequence 0 .. n-1, straight from an engine with no server around it.
-std::vector<uint64_t> OracleChecksums(uint64_t artifact_seed,
+/// sequence first .. first+n-1, straight from a one-worker engine with no
+/// server around it.
+std::vector<uint64_t> OracleChecksums(const pipeline::ReleaseArtifact& artifact,
                                       uint64_t sample_seed, uint64_t first,
                                       int n) {
-  auto engine = MakeEngine(artifact_seed);
+  pipeline::EngineOptions options;
+  options.threads = 1;
+  auto created = pipeline::ReleaseEngine::Create(artifact, options);
+  AGMDP_CHECK_MSG(created.ok(), created.status().ToString().c_str());
+  const std::unique_ptr<pipeline::ReleaseEngine> engine =
+      std::move(created).value();
   pipeline::SampleRequest base;
   base.seed = sample_seed;
   base.sequence = first;
@@ -108,6 +136,13 @@ std::vector<uint64_t> OracleChecksums(uint64_t artifact_seed,
   sums.reserve(graphs.value().size());
   for (const auto& g : graphs.value()) sums.push_back(server::GraphChecksum(g));
   return sums;
+}
+
+std::vector<uint64_t> OracleChecksums(uint64_t artifact_seed,
+                                      uint64_t sample_seed, uint64_t first,
+                                      int n) {
+  return OracleChecksums(FittedArtifact(artifact_seed), sample_seed, first,
+                         n);
 }
 
 // -------------------------------------------------------------- protocol --
@@ -177,6 +212,26 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   std::string deep = "{\"op\":\"stats\",\"id\":";
   for (int i = 0; i < 64; ++i) deep += "[";
   EXPECT_FALSE(server::ParseRequest(deep).ok());
+}
+
+// SampleMany allocates a slot per graph up front, so the parser bounds the
+// count instead of letting a daemon worker attempt the allocation.
+TEST(ProtocolTest, SampleCountAboveTheCapIsATypedError) {
+  const auto line = [](long long count) {
+    return "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"count\":" +
+           std::to_string(count) + "}";
+  };
+  auto at_cap = server::ParseRequest(line(server::kMaxSampleCount));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().count, server::kMaxSampleCount);
+  for (long long count :
+       {static_cast<long long>(server::kMaxSampleCount) + 1,
+        static_cast<long long>(INT_MAX)}) {
+    auto parsed = server::ParseRequest(line(count));
+    ASSERT_FALSE(parsed.ok()) << count;
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument)
+        << count;
+  }
 }
 
 TEST(ProtocolTest, ResponseRoundTripsStatusGraphsAndStats) {
@@ -1094,6 +1149,142 @@ TEST(ServerTcpTest, TwoHotEnginesOnTheSharedPoolMatchTheirOracles) {
       EXPECT_EQ(got[static_cast<size_t>(c)][static_cast<size_t>(i)],
                 oracle[c % 2][static_cast<size_t>(c / 2 * kPerClient + i)])
           << "client " << c << " request " << i;
+    }
+  }
+
+  daemon.Stop();
+  daemon.Wait();
+}
+
+TEST(ServerTcpTest, OversizedSampleCountIsRejectedAndTheConnectionServes) {
+  auto started = server::Server::Start(TestServerOptions());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+  server::Request load;
+  load.op = server::RequestOp::kLoad;
+  load.id = 1;
+  load.tenant = "alice";
+  load.name = "m";
+  load.artifact = ArtifactFile(5);
+  ASSERT_TRUE(daemon.Handle(load).status.ok());
+
+  auto client = server::Client::Connect("127.0.0.1", daemon.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  server::Request request;
+  request.op = server::RequestOp::kSample;
+  request.id = 2;
+  request.tenant = "alice";
+  request.name = "m";
+  request.seed = 77;
+  request.count = server::kMaxSampleCount + 1;
+  ASSERT_TRUE(client.value().Send(request).ok());
+  auto rejected = client.value().ReadResponse();
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected.value().status.code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rejected.value().graphs.empty());
+
+  // The same connection still serves the next request.
+  request.id = 3;
+  request.count = 1;
+  auto served = client.value().Call(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served.value().status.ok())
+      << served.value().status.ToString();
+  ASSERT_EQ(served.value().graphs.size(), 1u);
+  EXPECT_EQ(served.value().graphs[0].checksum,
+            OracleChecksums(5, 77, 0, 1)[0]);
+
+  daemon.Stop();
+  daemon.Wait();
+}
+
+TEST(ServerTcpTest, AgmAndCommunityDpEnginesHotAtOnceMatchTheirOracles) {
+  // community_dp batches fan out on the daemon's one sampler pool exactly
+  // like agm's. Clients of both engines keep multi-graph requests of each
+  // in flight at once, so both mechanisms' samplers run on the pool
+  // concurrently.
+  server::ServerOptions options = TestServerOptions();
+  options.engine_threads = 4;
+  auto started = server::Server::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+
+  struct Hot {
+    const char* name;
+    const pipeline::ReleaseArtifact* artifact;
+    std::string path;
+  };
+  const Hot hot[2] = {{"agm", &FittedArtifact(5), ArtifactFile(5)},
+                      {"cdp", &CommunityArtifact(), CommunityArtifactFile()}};
+  for (const Hot& h : hot) {
+    server::Request load;
+    load.op = server::RequestOp::kLoad;
+    load.id = 1;
+    load.tenant = "alice";
+    load.name = h.name;
+    load.artifact = h.path;
+    const server::Response loaded = daemon.Handle(load);
+    ASSERT_TRUE(loaded.status.ok()) << h.name << ": "
+                                    << loaded.status.ToString();
+  }
+
+  // Client c serves engine c % 2: three lock-step requests of two graphs.
+  constexpr uint64_t kSeed = 31;
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 3;
+  constexpr int kCount = 2;
+  constexpr int kPerEngine = kClients / 2 * kPerClient * kCount;
+  std::vector<std::vector<uint64_t>> got(kClients);
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([c, &hot, &daemon, &got, &errors] {
+      auto client = server::Client::Connect("127.0.0.1", daemon.port());
+      if (!client.ok()) {
+        errors[static_cast<size_t>(c)] = client.status().ToString();
+        return;
+      }
+      for (int i = 0; i < kPerClient; ++i) {
+        server::Request request;
+        request.op = server::RequestOp::kSample;
+        request.id = static_cast<uint64_t>(c * kPerClient + i);
+        request.tenant = "alice";
+        request.name = hot[c % 2].name;
+        request.seed = kSeed;
+        request.sequence =
+            static_cast<uint64_t>((c / 2 * kPerClient + i) * kCount);
+        request.count = kCount;
+        auto response = client.value().Call(request);
+        if (!response.ok() || !response.value().status.ok() ||
+            response.value().graphs.size() != kCount) {
+          errors[static_cast<size_t>(c)] =
+              response.ok() ? response.value().status.ToString()
+                            : response.status().ToString();
+          return;
+        }
+        for (const auto& graph : response.value().graphs) {
+          got[static_cast<size_t>(c)].push_back(graph.checksum);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+
+  const std::vector<uint64_t> oracle[2] = {
+      OracleChecksums(*hot[0].artifact, kSeed, 0, kPerEngine),
+      OracleChecksums(*hot[1].artifact, kSeed, 0, kPerEngine)};
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(errors[static_cast<size_t>(c)].empty())
+        << "client " << c << ": " << errors[static_cast<size_t>(c)];
+    ASSERT_EQ(got[static_cast<size_t>(c)].size(),
+              static_cast<size_t>(kPerClient * kCount));
+    for (int k = 0; k < kPerClient * kCount; ++k) {
+      EXPECT_EQ(got[static_cast<size_t>(c)][static_cast<size_t>(k)],
+                oracle[c % 2][static_cast<size_t>(
+                    c / 2 * kPerClient * kCount + k)])
+          << hot[c % 2].name << " client " << c << " graph " << k;
     }
   }
 
