@@ -145,9 +145,9 @@ int RunAgmDpTable(datasets::DatasetId id, const util::Flags& flags) {
     config.sample.threads = threads;
     pipeline::EngineOptions engine_options;
     engine_options.threads = threads;
-    // No calibration warm start: each trial runs the same cold acceptance
-    // loop SynthesizeAgmNonPrivate did — only the exact-parameter fit is
-    // amortized across trials.
+    // No calibration warm start: each trial runs the paper's cold
+    // acceptance loop — only the exact-parameter fit is amortized across
+    // trials.
     engine_options.calibrate = false;
     engine_options.sample = config.sample;
     auto engine = pipeline::ReleaseEngine::Create(

@@ -115,31 +115,4 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
   return params;
 }
 
-util::Result<AgmDpResult> SynthesizeAgmDp(const graph::AttributedGraph& input,
-                                          const AgmDpOptions& options,
-                                          util::Rng& rng) {
-  if (options.epsilon <= 0.0) {
-    return util::Status::InvalidArgument("AGM-DP: epsilon must be positive");
-  }
-  dp::PrivacyAccountant accountant(options.epsilon);
-  auto params = LearnAgmParamsDp(input, options, accountant, rng);
-  if (!params.ok()) return params.status();
-
-  // Lines 6-18: sampling is pure post-processing of the learned parameters.
-  AgmSampleOptions sample = options.sample;
-  sample.model = options.model;
-  auto synthetic = SampleAgmGraph(params.value(), sample, rng);
-  if (!synthetic.ok()) return synthetic.status();
-
-  AgmDpResult result{std::move(synthetic).value(), std::move(params).value(),
-                     accountant.ledger()};
-  return result;
-}
-
-util::Result<graph::AttributedGraph> SynthesizeAgmNonPrivate(
-    const graph::AttributedGraph& input, const AgmSampleOptions& options,
-    util::Rng& rng) {
-  return SampleAgmGraph(LearnAgmParams(input), options, rng);
-}
-
 }  // namespace agmdp::agm

@@ -1,16 +1,17 @@
-// AGM-DP — the end-to-end differentially private synthesis workflow
-// (Algorithm 3, Theorem 2).
+// AGM-DP — the private parameter learning of Algorithm 3 (lines 3-5).
 //
 // The global privacy budget is split among the parameter learners (Section
 // 5: even four-way for TriCycLe; S gets half for FCL), each parameter is
 // learned once under its share, and after that the raw input graph is never
-// touched again — the synthetic graph is pure post-processing, so the whole
-// pipeline satisfies eps-DP by sequential composition.
+// touched again — every synthetic graph (agm::SampleAgmGraph, lines 6-18)
+// is pure post-processing, so a release satisfies eps-DP by sequential
+// composition (Theorem 2). The end-to-end fit + sample is
+// pipeline::RunPrivateRelease; the "agm" mechanism's registry fit
+// (mechanisms::FitAgm) is the one caller of LearnAgmParamsDp there.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
@@ -44,15 +45,6 @@ struct AgmDpOptions {
   /// Budget split; a zero-total split selects the model's default.
   dp::BudgetSplit split;
   dp::LadderOptions ladder;
-  AgmSampleOptions sample;
-};
-
-struct AgmDpResult {
-  graph::AttributedGraph graph;
-  /// The private parameters the graph was sampled from.
-  AgmParams params;
-  /// (label, epsilon) spends, summing to <= options.epsilon.
-  std::vector<std::pair<std::string, double>> budget_ledger;
 };
 
 /// Wall-clock seconds spent in one named stage of the workflow.
@@ -73,18 +65,5 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
                                          util::Rng& rng,
                                          std::vector<StageSeconds>* timings =
                                              nullptr);
-
-/// Runs Algorithm 3. Fails on invalid options (non-positive epsilon,
-/// missing attributes, inconsistent split). Equivalent to LearnAgmParamsDp
-/// on a fresh accountant followed by SampleAgmGraph.
-util::Result<AgmDpResult> SynthesizeAgmDp(const graph::AttributedGraph& input,
-                                          const AgmDpOptions& options,
-                                          util::Rng& rng);
-
-/// Convenience: the non-private AGM baselines (AGM-FCL / AGM-TriCL) via the
-/// same sampling machinery.
-util::Result<graph::AttributedGraph> SynthesizeAgmNonPrivate(
-    const graph::AttributedGraph& input, const AgmSampleOptions& options,
-    util::Rng& rng);
 
 }  // namespace agmdp::agm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "src/agm/theta_f.h"
@@ -26,6 +27,46 @@ AgmParams LearnAgmParams(const graph::AttributedGraph& g) {
   params.degree_sequence = graph::DegreeSequence(g.structure());
   params.target_triangles = graph::CountTriangles(g.structure());
   return params;
+}
+
+namespace {
+
+util::Status BadTheta(const char* which, size_t index, double value) {
+  std::ostringstream message;
+  message << which << "[" << index << "] = " << value
+          << " is not a finite non-negative probability mass";
+  return util::Status::InvalidArgument(message.str());
+}
+
+}  // namespace
+
+util::Status ValidateAgmParams(const AgmParams& params) {
+  // w is capped at 16: beyond that the triangular edge-config count
+  // C(2^w + 1, 2) overflows NumEdgeConfigs's uint32 range, so a dimension
+  // check against the truncated value would wave through short theta_f
+  // vectors that the sampler then indexes out of bounds.
+  if (params.w < 0 || params.w > 16) {
+    return util::Status::InvalidArgument(
+        "params: w must be in [0, 16], got " + std::to_string(params.w));
+  }
+  if (params.theta_x.size() != graph::NumNodeConfigs(params.w) ||
+      params.theta_f.size() != graph::NumEdgeConfigs(params.w)) {
+    return util::Status::InvalidArgument(
+        "params: theta dimensions inconsistent with w=" +
+        std::to_string(params.w));
+  }
+  for (size_t y = 0; y < params.theta_x.size(); ++y) {
+    const double p = params.theta_x[y];
+    if (!std::isfinite(p) || p < 0.0) return BadTheta("theta_x", y, p);
+  }
+  for (size_t y = 0; y < params.theta_f.size(); ++y) {
+    const double p = params.theta_f[y];
+    if (!std::isfinite(p) || p < 0.0) return BadTheta("theta_f", y, p);
+  }
+  if (params.degree_sequence.empty()) {
+    return util::Status::InvalidArgument("params: empty degree sequence");
+  }
+  return util::Status::OK();
 }
 
 std::vector<double> ComputeAcceptanceProbabilities(

@@ -55,6 +55,14 @@ struct AgmParams {
 /// baselines of Tables 2-5.
 AgmParams LearnAgmParams(const graph::AttributedGraph& g);
 
+/// Structural validation of a parameter set: w in [0, 16] (beyond that the
+/// triangular edge-config count overflows uint32), theta dimensions
+/// consistent with w, every theta entry finite and non-negative, a
+/// non-empty degree sequence. The "agm" mechanism's artifact rule, so
+/// garbage parameters are rejected at every artifact read boundary instead
+/// of propagating into the sampler.
+util::Status ValidateAgmParams(const AgmParams& params);
+
 /// Pluggable structural-model hook: given the (private) AGM parameters and
 /// the attribute-acceptance filter, generate an edge set. Used by the
 /// pipeline's model registry to plug models beyond the two builtins into

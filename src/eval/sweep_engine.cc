@@ -1,9 +1,7 @@
 #include "src/eval/sweep_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "src/datasets/datasets.h"
 #include "src/graph/csr.h"
@@ -12,6 +10,7 @@
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/json.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace agmdp::eval {
@@ -229,32 +228,16 @@ util::Result<SweepResult> RunSweep(const std::vector<SweepInput>& inputs,
     }
   }
 
-  unsigned workers = spec.threads > 0
-                         ? static_cast<unsigned>(spec.threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min<unsigned>(
-      workers, static_cast<unsigned>(result.cells.size()));
-
-  if (workers <= 1) {
-    for (size_t c = 0; c < result.cells.size(); ++c) {
-      RunCell(*cell_inputs[c], *cell_references[c], spec, c,
-              &result.cells[c]);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        for (size_t c = next.fetch_add(1); c < result.cells.size();
-             c = next.fetch_add(1)) {
-          RunCell(*cell_inputs[c], *cell_references[c], spec, c,
-                  &result.cells[c]);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-  }
+  // Cells run on one pool sized from the available cores (never the
+  // host's), each cell a pure function of its index, so scheduling changes
+  // neither the bits nor the order of the result.
+  const int cells = static_cast<int>(result.cells.size());
+  util::WorkerPool pool(
+      std::min(util::ResolveThreadCount(spec.threads), cells));
+  pool.Run(cells, [&](int c) {
+    RunCell(*cell_inputs[c], *cell_references[c], spec,
+            static_cast<uint64_t>(c), &result.cells[c]);
+  });
 
   result.total_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();

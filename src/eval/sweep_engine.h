@@ -55,7 +55,8 @@ struct SweepSpec {
 
   /// Base seed of the per-cell substream family (and of dataset generation).
   uint64_t seed = 1;
-  /// Worker threads across cells; 0 = hardware concurrency.
+  /// Worker threads across cells; 0 = the available cores
+  /// (util::AvailableConcurrency).
   int threads = 1;
 
   /// Per-release sampler settings (forwarded to PipelineConfig).

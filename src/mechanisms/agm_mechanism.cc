@@ -1,9 +1,11 @@
 #include "src/mechanisms/agm_mechanism.h"
 
+#include <cmath>
 #include <utility>
 
+#include "src/agm/agm_dp.h"
+#include "src/dp/privacy_budget.h"
 #include "src/pipeline/model_registry.h"
-#include "src/pipeline/release_pipeline.h"
 
 namespace agmdp::mechanisms {
 
@@ -14,6 +16,24 @@ namespace {
 /// samplers built from the same artifact calibrate identically — at any
 /// pool size, on any machine.
 constexpr uint64_t kCalibrationSeed = 0xa6dca11b7a7e5eedULL;
+
+// Maps the pipeline config onto the AGM learner's options. Models that
+// learn a triangle target follow TriCycLe's budget semantics (even four-way
+// default split), the rest follow FCL's (S-heavy three-way).
+agm::AgmDpOptions MakeLearnOptions(const pipeline::PipelineConfig& config,
+                                   const pipeline::StructuralModelSpec& spec) {
+  agm::AgmDpOptions options;
+  options.epsilon = config.epsilon;
+  options.model = spec.needs_triangles ? agm::StructuralModelKind::kTriCycLe
+                                       : agm::StructuralModelKind::kFcl;
+  options.theta_f_method = config.theta_f_method;
+  options.truncation_k = config.truncation_k;
+  options.smooth_delta = config.smooth_delta;
+  options.sa_group_size = config.sa_group_size;
+  options.split = config.split;
+  options.ladder = config.ladder;
+  return options;
+}
 
 }  // namespace
 
@@ -90,12 +110,36 @@ uint64_t AgmSampler::ApproxBytes() const {
 util::Result<pipeline::ReleaseArtifact> FitAgm(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
     util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds) {
-  auto fit = pipeline::FitPrivateParams(input, config, rng);
-  if (!fit.ok()) return fit.status();
-  if (stage_seconds != nullptr) {
-    *stage_seconds = std::move(fit.value().stage_seconds);
+  const pipeline::StructuralModelSpec* spec =
+      pipeline::FindStructuralModel(config.model);
+  if (spec == nullptr) {
+    return util::Status::InvalidArgument(
+        "agm: unknown structural model '" + config.model +
+        "' (registered: " + pipeline::StructuralModelNameList() + ")");
   }
-  return pipeline::MakeReleaseArtifact(fit.value(), config);
+  if (!std::isfinite(config.epsilon) || config.epsilon <= 0.0) {
+    return util::Status::InvalidArgument(
+        "agm: epsilon must be a positive finite number");
+  }
+  dp::PrivacyAccountant accountant(config.epsilon);
+  auto params = agm::LearnAgmParamsDp(input, MakeLearnOptions(config, *spec),
+                                      accountant, rng, stage_seconds);
+  if (!params.ok()) return params.status();
+
+  pipeline::ReleaseArtifact artifact =
+      pipeline::MakeReleaseArtifact(std::move(params).value(), config);
+  artifact.ledger = accountant.ledger();
+  artifact.epsilon_budget = accountant.total();
+  artifact.epsilon_spent = accountant.spent();
+  return artifact;
+}
+
+util::Status ValidateAgm(const pipeline::ReleaseArtifact& artifact) {
+  if (!artifact.payload.Empty()) {
+    return util::Status::InvalidArgument(
+        "agm: artifacts must not carry a mechanism payload");
+  }
+  return agm::ValidateAgmParams(artifact.params);
 }
 
 }  // namespace agmdp::mechanisms

@@ -1,8 +1,9 @@
 // agm: the paper's Attributed Graph Model release (Algorithms 1-2).
 //
 // Fit learns ΘX, ΘF and the structural parameters under one
-// dp::PrivacyAccountant (pipeline::FitPrivateParams) and packages them
-// with the config fingerprint. Sampling resolves the artifact's structural
+// dp::PrivacyAccountant (agm::LearnAgmParamsDp) and packages them with the
+// ledger and the config fingerprint. Validation is agm::ValidateAgmParams
+// plus "no mechanism payload". Sampling resolves the artifact's structural
 // model in the pipeline's model registry and runs agm::SampleAgmGraph.
 //
 // Calibration: unless EngineOptions::calibrate is off, the sampler runs
@@ -65,8 +66,15 @@ class AgmSampler final : public ArtifactSampler {
   std::vector<double> calibrated_acceptance_;
 };
 
+/// The registry's fit for "agm". Reports the theta_x, theta_f,
+/// degree_sequence[, triangles] stage timings into `stage_seconds` when
+/// non-null. An unregistered structural model or a non-positive epsilon is
+/// an InvalidArgument before any budget is spent.
 util::Result<pipeline::ReleaseArtifact> FitAgm(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
     util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds);
+
+/// The registry's validate for "agm".
+util::Status ValidateAgm(const pipeline::ReleaseArtifact& artifact);
 
 }  // namespace agmdp::mechanisms

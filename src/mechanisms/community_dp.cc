@@ -252,12 +252,30 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
   return artifact;
 }
 
+util::Status ValidateCommunityDp(const pipeline::ReleaseArtifact& artifact) {
+  const pipeline::MechanismPayload& p = artifact.payload;
+  if (p.node_blocks.empty()) {
+    return Invalid("payload needs a non-empty node partition");
+  }
+  if (auto st = ValidateBlockPayload("community_dp", artifact); !st.ok()) {
+    return st;
+  }
+  const size_t blocks = p.num_blocks;
+  if (p.block_edges.size() != blocks * (blocks + 1) / 2) {
+    return Invalid("block_edges must have one entry per unordered block "
+                   "pair");
+  }
+  for (double count : p.block_edges) {
+    if (!std::isfinite(count) || count < 0.0) {
+      return Invalid("block_edges must be finite and non-negative");
+    }
+  }
+  return util::Status::OK();
+}
+
 util::Result<std::unique_ptr<const ArtifactSampler>> MakeCommunitySampler(
     const pipeline::ReleaseArtifact& artifact,
     const pipeline::EngineOptions& /*options*/, util::WorkerPool* /*pool*/) {
-  if (artifact.mechanism != "community_dp") {
-    return Invalid("artifact is tagged '" + artifact.mechanism + "'");
-  }
   return CommunitySampler::Build(artifact);
 }
 

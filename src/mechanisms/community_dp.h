@@ -35,6 +35,12 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
     util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds);
 
+/// Payload rules: a non-empty private partition into num_blocks
+/// communities, one finite non-negative noised count per unordered block
+/// pair (B(B+1)/2 of them), and the shared block-histogram checks
+/// (ValidateBlockPayload).
+util::Status ValidateCommunityDp(const pipeline::ReleaseArtifact& artifact);
+
 util::Result<std::unique_ptr<const ArtifactSampler>> MakeCommunitySampler(
     const pipeline::ReleaseArtifact& artifact,
     const pipeline::EngineOptions& options, util::WorkerPool* pool);

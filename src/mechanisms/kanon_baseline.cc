@@ -158,16 +158,39 @@ util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
   artifact.payload.k_anonymity = k;
   artifact.payload.t_closeness = config.t_closeness;
   // No accountant ran: budget, spent, and the ledger stay zero/empty, and
-  // ValidateReleaseArtifact enforces exactly that for this tag.
+  // ValidateKanonBaseline enforces exactly that.
   return artifact;
+}
+
+util::Status ValidateKanonBaseline(const pipeline::ReleaseArtifact& artifact) {
+  const pipeline::MechanismPayload& p = artifact.payload;
+  if (!artifact.ledger.empty() || artifact.epsilon_budget != 0.0 ||
+      artifact.epsilon_spent != 0.0) {
+    return Invalid("artifacts must carry zero epsilon spend and an empty "
+                   "ledger");
+  }
+  if (p.k_anonymity < 2) return Invalid("needs k_anonymity >= 2");
+  if (!std::isfinite(p.t_closeness) || p.t_closeness < 0.0 ||
+      p.t_closeness > 1.0) {
+    return Invalid("needs t_closeness in [0, 1]");
+  }
+  const size_t n = artifact.params.degree_sequence.size();
+  if (n == 0 || p.node_blocks.size() != n) {
+    return Invalid("payload needs one anonymity group per degree-sequence "
+                   "entry");
+  }
+  if (auto st = ValidateBlockPayload("kanon_baseline", artifact); !st.ok()) {
+    return st;
+  }
+  for (uint32_t d : artifact.params.degree_sequence) {
+    if (d >= n) return Invalid("anonymized degree exceeds n - 1");
+  }
+  return util::Status::OK();
 }
 
 util::Result<std::unique_ptr<const ArtifactSampler>> MakeKanonSampler(
     const pipeline::ReleaseArtifact& artifact,
     const pipeline::EngineOptions& /*options*/, util::WorkerPool* /*pool*/) {
-  if (artifact.mechanism != "kanon_baseline") {
-    return Invalid("artifact is tagged '" + artifact.mechanism + "'");
-  }
   return KanonSampler::Build(artifact);
 }
 

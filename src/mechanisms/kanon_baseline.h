@@ -33,6 +33,12 @@ util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
     const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
     util::Rng& rng, std::vector<agm::StageSeconds>* stage_seconds);
 
+/// Artifact rules of the syntactic baseline: zero epsilon spend and an
+/// empty ledger, k >= 2, t in [0, 1], one anonymity group per
+/// degree-sequence entry, degrees below n, and the shared block-histogram
+/// checks (ValidateBlockPayload).
+util::Status ValidateKanonBaseline(const pipeline::ReleaseArtifact& artifact);
+
 util::Result<std::unique_ptr<const ArtifactSampler>> MakeKanonSampler(
     const pipeline::ReleaseArtifact& artifact,
     const pipeline::EngineOptions& options, util::WorkerPool* pool);

@@ -1,15 +1,21 @@
 // The release-mechanism registry: every private-graph publication scheme —
 // the paper's AGM pipeline and the competing schemes — behind one
 // artifact/accounting contract. It is the only place that maps a
-// mechanism tag to a way of fitting and serving.
+// mechanism tag to a way of fitting, validating and serving.
 //
-// A MechanismSpec is (name, privacy model, fit, make_sampler):
+// A MechanismSpec is (name, privacy model, fit, validate, make_sampler):
 //
 //   * fit reads the sensitive input exactly once and returns a
 //     mechanism-tagged pipeline::ReleaseArtifact. DP mechanisms charge
 //     every stage through one dp::PrivacyAccountant, so the artifact's
 //     ledger sums to the global epsilon; syntactic mechanisms
 //     (kanon_baseline) carry a zero-spend ledger.
+//   * validate holds the mechanism's own artifact rules: the shape and
+//     values of `params` and `payload`, plus any ledger rule the privacy
+//     model implies (kanon_baseline: zero spend). The tag-agnostic checks
+//     — schema version, registered tag, ledger/epsilon consistency,
+//     acceptance knobs — run first in pipeline::ValidateReleaseArtifact,
+//     which then calls this.
 //   * make_sampler turns a validated artifact into the ArtifactSampler
 //     pipeline::ReleaseEngine serves every request through. Sampling is
 //     pure post-processing (Theorem 2): repeatable at zero additional
@@ -24,9 +30,8 @@
 // spec table, FindMechanism by tag, and name listings for error messages.
 // Every read boundary (PipelineConfig::Validate, ValidateReleaseArtifact
 // and so ReleaseArtifactFromJson and ReleaseEngine::Create) rejects a tag
-// FindMechanism does not know. To add a scheme: implement fit and
-// make_sampler, append a spec in release_mechanism.cc, and extend the
-// per-mechanism branch of pipeline::ValidateReleaseArtifact.
+// FindMechanism does not know. To add a scheme: implement fit, validate
+// and make_sampler, and append a spec in release_mechanism.cc.
 #pragma once
 
 #include <functional>
@@ -91,6 +96,11 @@ struct MechanismSpec {
       const pipeline::PipelineConfig& config, util::Rng& rng,
       std::vector<agm::StageSeconds>* stage_seconds)>
       fit;
+  /// The mechanism's artifact rules (see the file comment); a typed
+  /// InvalidArgument on violation. Called by ValidateReleaseArtifact only
+  /// after the tag-agnostic checks passed.
+  std::function<util::Status(const pipeline::ReleaseArtifact& artifact)>
+      validate;
   /// Builds the serving handle of a validated artifact under the engine's
   /// options; `pool` is the engine's pool (AGM calibrates on it). The
   /// sampler may read `artifact` for its whole lifetime — the engine owns
@@ -109,5 +119,13 @@ std::vector<std::string> MechanismNames();
 
 /// "agm, community_dp, kanon_baseline" — for error messages.
 std::string MechanismNameList();
+
+/// The block-model payload checks community_dp and kanon_baseline share:
+/// num_blocks >= 1, every node_blocks entry in range, 0 <= w <= 20, and a
+/// num_blocks x 2^w `block_attr` whose entries are finite and non-negative
+/// with positive mass in every row (each row is alias-sampled). `tag`
+/// prefixes the error messages.
+util::Status ValidateBlockPayload(const std::string& tag,
+                                  const pipeline::ReleaseArtifact& artifact);
 
 }  // namespace agmdp::mechanisms

@@ -83,16 +83,6 @@ util::Status ValidateAcceptanceKnobs(int acceptance_iterations,
 /// One accountant entry: (stage label, epsilon spent), in spend order.
 using BudgetLedger = std::vector<std::pair<std::string, double>>;
 
-/// Result of the fit half alone (parameters are the release: they can be
-/// stored and re-sampled arbitrarily often at no further privacy cost).
-struct FitResult {
-  agm::AgmParams params;
-  BudgetLedger ledger;
-  double epsilon_budget = 0.0;
-  double epsilon_spent = 0.0;
-  std::vector<agm::StageSeconds> stage_seconds;
-};
-
 /// Result of a full private release.
 struct ReleaseResult {
   graph::AttributedGraph graph;

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/agm/params_io.h"
 #include "src/mechanisms/release_mechanism.h"
 #include "src/util/json.h"
 
@@ -89,16 +88,59 @@ util::Result<uint64_t> RequireUint64String(const util::JsonValue& object,
   return static_cast<uint64_t>(value);
 }
 
-}  // namespace
-
-ReleaseArtifact MakeReleaseArtifact(const FitResult& fit,
-                                    const PipelineConfig& config) {
-  ReleaseArtifact artifact = MakeReleaseArtifact(fit.params, config);
-  artifact.ledger = fit.ledger;
-  artifact.epsilon_budget = fit.epsilon_budget;
-  artifact.epsilon_spent = fit.epsilon_spent;
-  return artifact;
+bool IsUint32(double value) {
+  return value >= 0.0 && value <= 4294967295.0 && value == std::floor(value);
 }
+
+util::Result<uint32_t> RequireUint32(const util::JsonValue& object,
+                                     const std::string& key) {
+  auto number = RequireNumber(object, key);
+  if (!number.ok()) return number.status();
+  if (!IsUint32(number.value())) {
+    return Invalid("'" + key + "' must be a uint32 integer");
+  }
+  return static_cast<uint32_t>(number.value());
+}
+
+util::Result<const std::vector<util::JsonValue>*> RequireArray(
+    const util::JsonValue& object, const std::string& key) {
+  auto field = Require(object, key);
+  if (!field.ok()) return field.status();
+  if (!field.value()->is_array()) {
+    return Invalid("'" + key + "' must be an array");
+  }
+  return &field.value()->array_items();
+}
+
+util::Status ReadNumbers(const util::JsonValue& object, const std::string& key,
+                         std::vector<double>* out) {
+  auto items = RequireArray(object, key);
+  if (!items.ok()) return items.status();
+  out->reserve(items.value()->size());
+  for (const util::JsonValue& item : *items.value()) {
+    if (!item.is_number()) {
+      return Invalid("'" + key + "' entries must be numbers");
+    }
+    out->push_back(item.number_value());
+  }
+  return util::Status::OK();
+}
+
+util::Status ReadUint32s(const util::JsonValue& object, const std::string& key,
+                         std::vector<uint32_t>* out) {
+  auto items = RequireArray(object, key);
+  if (!items.ok()) return items.status();
+  out->reserve(items.value()->size());
+  for (const util::JsonValue& item : *items.value()) {
+    if (!item.is_number() || !IsUint32(item.number_value())) {
+      return Invalid("'" + key + "' entries must be uint32 integers");
+    }
+    out->push_back(static_cast<uint32_t>(item.number_value()));
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
 
 ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
                                     const PipelineConfig& config) {
@@ -113,122 +155,6 @@ ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
   return artifact;
 }
 
-namespace {
-
-// Shape/value checks of the community_dp payload: a private partition of n
-// nodes into num_blocks communities, a noised count per unordered block
-// pair, and a per-block attribute-config histogram each alias-samplable
-// (non-negative, finite, positive row sum).
-util::Status ValidateCommunityPayload(const ReleaseArtifact& artifact) {
-  const MechanismPayload& p = artifact.payload;
-  const size_t n = p.node_blocks.size();
-  const size_t blocks = p.num_blocks;
-  if (blocks == 0 || n == 0) {
-    return Invalid("community_dp payload needs num_blocks >= 1 and a "
-                   "non-empty node partition");
-  }
-  for (uint32_t block : p.node_blocks) {
-    if (block >= blocks) {
-      return Invalid("community_dp node_blocks entry out of range");
-    }
-  }
-  if (p.block_edges.size() != blocks * (blocks + 1) / 2) {
-    return Invalid("community_dp block_edges must have one entry per "
-                   "unordered block pair");
-  }
-  for (double count : p.block_edges) {
-    if (!std::isfinite(count) || count < 0.0) {
-      return Invalid("community_dp block_edges must be finite and "
-                     "non-negative");
-    }
-  }
-  if (artifact.params.w < 0 || artifact.params.w > 20) {
-    return Invalid("community_dp payload needs 0 <= w <= 20");
-  }
-  const size_t configs = size_t{1} << artifact.params.w;
-  if (p.block_attr.size() != blocks * configs) {
-    return Invalid("community_dp block_attr must be num_blocks * 2^w");
-  }
-  for (size_t b = 0; b < blocks; ++b) {
-    double row_sum = 0.0;
-    for (size_t y = 0; y < configs; ++y) {
-      const double mass = p.block_attr[b * configs + y];
-      if (!std::isfinite(mass) || mass < 0.0) {
-        return Invalid("community_dp block_attr must be finite and "
-                       "non-negative");
-      }
-      row_sum += mass;
-    }
-    if (row_sum <= 0.0) {
-      return Invalid("community_dp block_attr row " + std::to_string(b) +
-                     " has no mass");
-    }
-  }
-  return util::Status::OK();
-}
-
-// kanon_baseline is syntactic: it must assert *zero* epsilon spend (the
-// "equivalent protection" ledger is epsilon-free) and a well-formed
-// grouping of the anonymized degree sequence.
-util::Status ValidateKanonPayload(const ReleaseArtifact& artifact) {
-  const MechanismPayload& p = artifact.payload;
-  if (!artifact.ledger.empty() || artifact.epsilon_budget != 0.0 ||
-      artifact.epsilon_spent != 0.0) {
-    return Invalid("kanon_baseline artifacts must carry zero epsilon spend "
-                   "and an empty ledger");
-  }
-  if (p.k_anonymity < 2) {
-    return Invalid("kanon_baseline needs k_anonymity >= 2");
-  }
-  if (!std::isfinite(p.t_closeness) || p.t_closeness < 0.0 ||
-      p.t_closeness > 1.0) {
-    return Invalid("kanon_baseline needs t_closeness in [0, 1]");
-  }
-  const size_t n = artifact.params.degree_sequence.size();
-  if (n == 0 || p.node_blocks.size() != n) {
-    return Invalid("kanon_baseline payload needs one anonymity group per "
-                   "degree-sequence entry");
-  }
-  if (p.num_blocks == 0) {
-    return Invalid("kanon_baseline payload needs num_blocks >= 1");
-  }
-  for (uint32_t block : p.node_blocks) {
-    if (block >= p.num_blocks) {
-      return Invalid("kanon_baseline node_blocks entry out of range");
-    }
-  }
-  if (artifact.params.w < 0 || artifact.params.w > 20) {
-    return Invalid("kanon_baseline payload needs 0 <= w <= 20");
-  }
-  const size_t configs = size_t{1} << artifact.params.w;
-  if (p.block_attr.size() != size_t{p.num_blocks} * configs) {
-    return Invalid("kanon_baseline block_attr must be num_blocks * 2^w");
-  }
-  for (size_t b = 0; b < p.num_blocks; ++b) {
-    double row_sum = 0.0;
-    for (size_t y = 0; y < configs; ++y) {
-      const double mass = p.block_attr[b * configs + y];
-      if (!std::isfinite(mass) || mass < 0.0) {
-        return Invalid("kanon_baseline block_attr must be finite and "
-                       "non-negative");
-      }
-      row_sum += mass;
-    }
-    if (row_sum <= 0.0) {
-      return Invalid("kanon_baseline block_attr row " + std::to_string(b) +
-                     " has no mass");
-    }
-  }
-  for (uint32_t d : artifact.params.degree_sequence) {
-    if (d >= n) {
-      return Invalid("kanon_baseline anonymized degree exceeds n - 1");
-    }
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
 util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   if (auto st = CheckSchemaVersion(artifact.schema_version); !st.ok()) {
     return st;
@@ -236,7 +162,9 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   // The mechanism tag gates everything downstream (engine construction,
   // registry rows, sweep cells), so an unknown tag is rejected here — at
   // every read boundary — with the set of tags this build can serve.
-  if (mechanisms::FindMechanism(artifact.mechanism) == nullptr) {
+  const mechanisms::MechanismSpec* spec =
+      mechanisms::FindMechanism(artifact.mechanism);
+  if (spec == nullptr) {
     return Invalid("unknown mechanism '" + artifact.mechanism +
                    "' (this build serves: " +
                    mechanisms::MechanismNameList() + ")");
@@ -273,16 +201,7 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
       !st.ok()) {
     return st;
   }
-  if (artifact.mechanism == "agm") {
-    if (!artifact.payload.Empty()) {
-      return Invalid("agm artifacts must not carry a mechanism payload");
-    }
-    return agm::ValidateAgmParams(artifact.params);
-  }
-  if (artifact.mechanism == "community_dp") {
-    return ValidateCommunityPayload(artifact);
-  }
-  return ValidateKanonPayload(artifact);
+  return spec->validate(artifact);
 }
 
 std::string ReleaseArtifactToJson(const ReleaseArtifact& artifact) {
@@ -325,9 +244,9 @@ std::string ReleaseArtifactToJson(const ReleaseArtifact& artifact) {
   json.Key("target_triangles")
       .Value(std::to_string(artifact.params.target_triangles));
   json.EndObject();
-  // The mechanism payload is written only for non-AGM mechanisms: AGM
-  // artifacts keep the exact PR-5 layout plus the "mechanism" tag above.
-  if (artifact.mechanism != "agm") {
+  // The payload is written only when there is one, so payload-free
+  // releases keep the exact original layout plus the "mechanism" tag.
+  if (!artifact.payload.Empty()) {
     const MechanismPayload& payload = artifact.payload;
     json.Key("mechanism_payload").BeginObject();
     json.Key("num_blocks").Value(static_cast<uint64_t>(payload.num_blocks));
@@ -398,10 +317,9 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   if (!spent.ok()) return spent.status();
   artifact.epsilon_spent = spent.value();
 
-  auto ledger = Require(root, "ledger");
+  auto ledger = RequireArray(root, "ledger");
   if (!ledger.ok()) return ledger.status();
-  if (!ledger.value()->is_array()) return Invalid("'ledger' must be an array");
-  for (const util::JsonValue& entry : ledger.value()->array_items()) {
+  for (const util::JsonValue& entry : *ledger.value()) {
     if (!entry.is_object()) return Invalid("ledger entries must be objects");
     auto stage = RequireString(entry, "stage");
     if (!stage.ok()) return stage.status();
@@ -430,113 +348,58 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   if (!w.ok()) return w.status();
   artifact.params.w = w.value();
 
-  auto read_theta = [&p](const std::string& key,
-                         std::vector<double>* out) -> util::Status {
-    auto field = Require(p, key);
-    if (!field.ok()) return field.status();
-    if (!field.value()->is_array()) {
-      return Invalid("'" + key + "' must be an array");
-    }
-    out->reserve(field.value()->array_items().size());
-    for (const util::JsonValue& item : field.value()->array_items()) {
-      if (!item.is_number()) {
-        return Invalid("'" + key + "' entries must be numbers");
-      }
-      out->push_back(item.number_value());
-    }
-    return util::Status::OK();
-  };
-  if (auto st = read_theta("theta_x", &artifact.params.theta_x); !st.ok()) {
+  if (auto st = ReadNumbers(p, "theta_x", &artifact.params.theta_x);
+      !st.ok()) {
     return st;
   }
-  if (auto st = read_theta("theta_f", &artifact.params.theta_f); !st.ok()) {
+  if (auto st = ReadNumbers(p, "theta_f", &artifact.params.theta_f);
+      !st.ok()) {
     return st;
   }
-
-  auto degrees = Require(p, "degree_sequence");
-  if (!degrees.ok()) return degrees.status();
-  if (!degrees.value()->is_array()) {
-    return Invalid("'degree_sequence' must be an array");
-  }
-  artifact.params.degree_sequence.reserve(
-      degrees.value()->array_items().size());
-  for (const util::JsonValue& item : degrees.value()->array_items()) {
-    const double value = item.is_number() ? item.number_value() : -1.0;
-    if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
-      return Invalid("'degree_sequence' entries must be uint32 integers");
-    }
-    artifact.params.degree_sequence.push_back(static_cast<uint32_t>(value));
+  if (auto st = ReadUint32s(p, "degree_sequence",
+                            &artifact.params.degree_sequence);
+      !st.ok()) {
+    return st;
   }
 
   auto triangles = RequireUint64String(p, "target_triangles");
   if (!triangles.ok()) return triangles.status();
   artifact.params.target_triangles = triangles.value();
 
+  // Which mechanisms need a payload is their validate's business; the
+  // codec only reads one when present.
   const util::JsonValue* payload = root.Find("mechanism_payload");
-  if (artifact.mechanism != "agm") {
-    if (payload == nullptr || !payload->is_object()) {
-      return Invalid("'mechanism_payload' must be an object for mechanism '" +
-                     artifact.mechanism + "'");
+  if (payload != nullptr) {
+    if (!payload->is_object()) {
+      return Invalid("'mechanism_payload' must be an object");
     }
-    auto read_doubles = [payload](const std::string& key,
-                                  std::vector<double>* out) -> util::Status {
-      auto field = Require(*payload, key);
-      if (!field.ok()) return field.status();
-      if (!field.value()->is_array()) {
-        return Invalid("'" + key + "' must be an array");
-      }
-      out->reserve(field.value()->array_items().size());
-      for (const util::JsonValue& item : field.value()->array_items()) {
-        if (!item.is_number()) {
-          return Invalid("'" + key + "' entries must be numbers");
-        }
-        out->push_back(item.number_value());
-      }
-      return util::Status::OK();
-    };
-    auto read_uint32 = [payload](const std::string& key)
-        -> util::Result<uint32_t> {
-      auto number = RequireNumber(*payload, key);
-      if (!number.ok()) return number.status();
-      const double value = number.value();
-      if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
-        return Invalid("'" + key + "' must be a uint32 integer");
-      }
-      return static_cast<uint32_t>(value);
-    };
-    auto num_blocks = read_uint32("num_blocks");
+    MechanismPayload& out = artifact.payload;
+    auto num_blocks = RequireUint32(*payload, "num_blocks");
     if (!num_blocks.ok()) return num_blocks.status();
-    artifact.payload.num_blocks = num_blocks.value();
-    auto blocks_field = Require(*payload, "node_blocks");
-    if (!blocks_field.ok()) return blocks_field.status();
-    if (!blocks_field.value()->is_array()) {
-      return Invalid("'node_blocks' must be an array");
-    }
-    artifact.payload.node_blocks.reserve(
-        blocks_field.value()->array_items().size());
-    for (const util::JsonValue& item : blocks_field.value()->array_items()) {
-      const double value = item.is_number() ? item.number_value() : -1.0;
-      if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
-        return Invalid("'node_blocks' entries must be uint32 integers");
-      }
-      artifact.payload.node_blocks.push_back(static_cast<uint32_t>(value));
-    }
-    if (auto st = read_doubles("block_edges", &artifact.payload.block_edges);
+    out.num_blocks = num_blocks.value();
+    if (auto st = ReadUint32s(*payload, "node_blocks", &out.node_blocks);
         !st.ok()) {
       return st;
     }
-    if (auto st = read_doubles("block_attr", &artifact.payload.block_attr);
+    if (auto st = ReadNumbers(*payload, "block_edges", &out.block_edges);
         !st.ok()) {
       return st;
     }
-    auto k_anonymity = read_uint32("k_anonymity");
+    if (auto st = ReadNumbers(*payload, "block_attr", &out.block_attr);
+        !st.ok()) {
+      return st;
+    }
+    auto k_anonymity = RequireUint32(*payload, "k_anonymity");
     if (!k_anonymity.ok()) return k_anonymity.status();
-    artifact.payload.k_anonymity = k_anonymity.value();
+    out.k_anonymity = k_anonymity.value();
     auto t_closeness = RequireNumber(*payload, "t_closeness");
     if (!t_closeness.ok()) return t_closeness.status();
-    artifact.payload.t_closeness = t_closeness.value();
-  } else if (payload != nullptr) {
-    return Invalid("agm artifacts must not carry a mechanism payload");
+    out.t_closeness = t_closeness.value();
+    // The writer never emits an empty payload, so one on input is not a
+    // canonical document (and would not round-trip byte for byte).
+    if (out.Empty()) {
+      return Invalid("'mechanism_payload' is present but empty");
+    }
   }
 
   if (auto st = ValidateReleaseArtifact(artifact); !st.ok()) return st;

@@ -1,20 +1,25 @@
-// The serializable private release: fitted AGM parameters plus the
-// accountant ledger and provenance metadata, as one JSON document.
+// The serializable private release: a mechanism's fitted parameters plus
+// the accountant ledger and provenance metadata, as one JSON document.
 //
 // Per the paper's Theorem 2 the fitted parameters *are* the release — once
 // learned under the DP budget they can be stored, shipped, and resampled
 // arbitrarily often at zero additional privacy cost. The artifact is the
-// unit of exchange of the serving layer: `agmdp fit` writes one,
-// `agmdp sample` / pipeline::ReleaseEngine consume it, and the embedded
-// ledger keeps the release auditable after the fitting process is gone.
+// only stored form of a release and the unit of exchange of the serving
+// layer: `agmdp fit` writes one, `agmdp sample` / pipeline::ReleaseEngine /
+// the daemon consume it, and the embedded ledger keeps the release
+// auditable after the fitting process is gone.
 //
 // The format is versioned JSON (schema "agmdp.release-artifact",
 // kReleaseArtifactSchemaVersion): doubles are serialized with 17
 // significant digits so a round trip is bit-exact, and the two uint64
 // fields (config fingerprint, triangle target) travel as decimal strings
-// because JSON numbers lose integers above 2^53. Readers reject unknown
-// schema versions, dimension mismatches, and non-finite or negative
-// parameter values (agm::ValidateAgmParams) instead of propagating garbage.
+// because JSON numbers lose integers above 2^53. The codec names no
+// mechanism: `mechanism_payload` is written exactly when the payload is
+// non-empty and read exactly when present. ValidateReleaseArtifact runs
+// the tag-agnostic checks and then the registry's per-mechanism rules
+// (mechanisms::MechanismSpec::validate), so every reader rejects unknown
+// schema versions and tags, dimension mismatches, and non-finite or
+// negative values instead of propagating garbage.
 #pragma once
 
 #include <cstdint>
@@ -89,17 +94,16 @@ struct ReleaseArtifact {
   double min_acceptance = 1e-3;
 };
 
-/// Packages a fit result for serving/storage under `config`'s settings.
-ReleaseArtifact MakeReleaseArtifact(const FitResult& fit,
-                                    const PipelineConfig& config);
-
-/// Packages bare parameters (no ledger — the non-private baselines and the
-/// legacy SampleRelease path).
+/// Packages parameters under `config`'s mechanism, model, fingerprint and
+/// sampler defaults, with an empty ledger. Fits add their ledger and
+/// payload; the non-private baselines and SampleRelease serve it as is.
 ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
                                     const PipelineConfig& config);
 
-/// Structural validation: supported schema version, named model, valid
-/// parameters, sane knobs and ledger entries. Run by the reader and by
+/// Structural validation: supported schema version, registered mechanism,
+/// named model, finite spends consistent with the ledger and the budget,
+/// sane acceptance knobs — then the mechanism's own rules
+/// (MechanismSpec::validate). Run by the reader, the writer and
 /// ReleaseEngine::Create.
 util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact);
 

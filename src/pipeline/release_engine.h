@@ -59,7 +59,8 @@ struct EngineOptions {
   /// Run one calibration sample at construction (full acceptance loop,
   /// from the fixed calibration substream) and warm-start every request
   /// with its converged acceptance vector. Disable to reproduce the
-  /// paper's cold per-sample loop exactly (the legacy free functions do).
+  /// paper's cold per-sample loop exactly (SampleRelease and
+  /// RunPrivateRelease do).
   bool calibrate = true;
   /// Acceptance refinements per request once calibrated (requests may
   /// override). 0 = trust the calibrated vector: the loop had converged,
@@ -129,9 +130,9 @@ class ReleaseEngine {
       int n, const SampleRequest& base = {}) const;
 
   /// Samples consuming the caller's master stream instead of a request
-  /// substream — the contract of the legacy pipeline::SampleRelease, which
-  /// wraps this. Thread-safe, but concurrent callers take turns on the
-  /// engine pool.
+  /// substream — the one-shot contract of pipeline::SampleRelease and
+  /// RunPrivateRelease, which wrap this. Thread-safe, but concurrent
+  /// callers take turns on the engine pool.
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:

@@ -17,27 +17,8 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Maps the pipeline config onto the AGM learner's options. Models that
-// learn a triangle target follow TriCycLe's budget semantics (even four-way
-// default split), the rest follow FCL's (S-heavy three-way).
-agm::AgmDpOptions MakeLearnOptions(const PipelineConfig& config,
-                                   const StructuralModelSpec& spec) {
-  agm::AgmDpOptions options;
-  options.epsilon = config.epsilon;
-  options.model = spec.needs_triangles ? agm::StructuralModelKind::kTriCycLe
-                                       : agm::StructuralModelKind::kFcl;
-  options.theta_f_method = config.theta_f_method;
-  options.truncation_k = config.truncation_k;
-  options.smooth_delta = config.smooth_delta;
-  options.sa_group_size = config.sa_group_size;
-  options.split = config.split;
-  options.ladder = config.ladder;
-  return options;
-}
-
-// An uncalibrated single-use engine reproducing the legacy free-function
-// sampling semantics exactly: cold acceptance loop, config sample knobs,
-// pool sized by config.sample.threads.
+// An uncalibrated single-use engine: the paper's cold acceptance loop,
+// config sample knobs, pool sized by config.sample.threads.
 util::Result<std::unique_ptr<ReleaseEngine>> MakeOneShotEngine(
     ReleaseArtifact artifact, const PipelineConfig& config) {
   EngineOptions options;
@@ -60,27 +41,6 @@ util::Result<ReleaseArtifact> FitArtifact(
 }
 
 }  // namespace
-
-util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
-                                         const PipelineConfig& config,
-                                         util::Rng& rng) {
-  if (auto st = config.Validate(); !st.ok()) return st;
-  const StructuralModelSpec* spec = FindStructuralModel(config.model);
-
-  dp::PrivacyAccountant accountant(config.epsilon);
-  std::vector<agm::StageSeconds> timings;
-  auto params = agm::LearnAgmParamsDp(input, MakeLearnOptions(config, *spec),
-                                      accountant, rng, &timings);
-  if (!params.ok()) return params.status();
-
-  FitResult result;
-  result.params = std::move(params).value();
-  result.ledger = accountant.ledger();
-  result.epsilon_budget = accountant.total();
-  result.epsilon_spent = accountant.spent();
-  result.stage_seconds = std::move(timings);
-  return result;
-}
 
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,

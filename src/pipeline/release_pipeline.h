@@ -1,29 +1,27 @@
 // The unified private-release pipeline: fit → sample with one
 // PrivacyAccountant threaded through every DP stage.
 //
-// This is the single entry point the CLI, the examples, and the benches
-// route through. The contract:
+// The contract:
 //
 //   * Budget accounting — every epsilon spend of the release is recorded in
 //     one accountant; the returned ledger's spends sum to the configured
 //     global epsilon under the model-default splits (sequential
 //     composition, Theorem 2), so auditing the ledger audits the release.
-//   * Post-processing — only FitPrivateParams / the fit half of
-//     RunPrivateRelease reads the sensitive input; sampling is pure
+//   * Post-processing — only the fit (FitReleaseArtifact, or the fit half
+//     of RunPrivateRelease) reads the sensitive input; sampling is pure
 //     post-processing and can be repeated at no additional privacy cost.
 //   * Determinism — for a fixed config and Rng seed the synthetic graph is
 //     bitwise-identical at any `sample.threads` setting (see
 //     agm_sampler.h and DESIGN.md).
 //
-// These free functions are thin wrappers over the mechanism registry
-// (src/mechanisms/release_mechanism.h) and the handle-based serving layer
-// (release_artifact.h / release_engine.h): FitReleaseArtifact and the fit
-// half of RunPrivateRelease dispatch on config.mechanism through the
-// registry's fit, and the sampling halves construct an uncalibrated
-// ReleaseEngine per call, so one-shot and serving paths share one code
-// path for every mechanism. Long-lived consumers should hold a
-// ReleaseEngine instead of looping over these — see DESIGN.md "Serving
-// layer".
+// There is one way to fit — the registry entry of config.mechanism
+// (src/mechanisms/release_mechanism.h), after PipelineConfig::Validate —
+// and one stored form, the ReleaseArtifact. These free functions are thin
+// wrappers over it and the serving layer (release_engine.h): the sampling
+// halves construct an uncalibrated ReleaseEngine per call, so one-shot and
+// serving paths share one code path for every mechanism. Long-lived
+// consumers should hold a ReleaseEngine instead of looping over these —
+// see DESIGN.md "Serving layer".
 #pragma once
 
 #include "src/pipeline/model_registry.h"
@@ -34,23 +32,17 @@
 
 namespace agmdp::pipeline {
 
-/// Learns the private AGM parameters (the only step that touches the
-/// sensitive input) and returns them with the accountant ledger and stage
-/// timings — the fit of the "agm" mechanism. Fails on an invalid config
-/// (PipelineConfig::Validate) before any budget is spent.
-util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
-                                         const PipelineConfig& config,
-                                         util::Rng& rng);
-
 /// Fit + packaging through the registry entry of `config.mechanism`: the
 /// artifact a ReleaseEngine (or `agmdp sample`) consumes, carrying the
-/// parameters, the full ledger, and the config fingerprint.
+/// parameters, the full ledger, and the config fingerprint. Fails on an
+/// invalid config (PipelineConfig::Validate) before any budget is spent.
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng);
 
-/// Samples a synthetic graph from already-learned parameters under
-/// `config`'s model and sampler settings. Pure post-processing.
+/// Samples a synthetic graph from already-learned AGM parameters under
+/// `config`'s model and sampler settings, through a one-shot uncalibrated
+/// engine (the cold acceptance loop). Pure post-processing.
 util::Result<graph::AttributedGraph> SampleRelease(
     const agm::AgmParams& params, const PipelineConfig& config,
     util::Rng& rng);

@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/agm/agm_dp.h"
 #include "src/agm/agm_sampler.h"
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/datasets/homophily.h"
+#include "src/dp/privacy_budget.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
 #include "src/stats/metrics.h"
@@ -305,19 +309,44 @@ TEST(AgmSamplerTest, TriCycLePipelineApproachesTriangleTarget) {
 
 // ------------------------------------------------------------------ AGM-DP --
 
+// Algorithm 3 on the agm layer: LearnAgmParamsDp under a fresh accountant,
+// then SampleAgmGraph (pure post-processing) with the learner's model.
+struct AgmDpRun {
+  graph::AttributedGraph graph;
+  AgmParams params;
+  std::vector<std::pair<std::string, double>> ledger;
+};
+
+util::Result<AgmDpRun> RunAgmDp(const graph::AttributedGraph& input,
+                                const AgmDpOptions& options, util::Rng& rng,
+                                int acceptance_iterations = 1) {
+  dp::PrivacyAccountant accountant(options.epsilon);
+  auto params = LearnAgmParamsDp(input, options, accountant, rng);
+  if (!params.ok()) return params.status();
+  AgmSampleOptions sample;
+  sample.model = options.model;
+  sample.acceptance_iterations = acceptance_iterations;
+  auto synthetic = SampleAgmGraph(params.value(), sample, rng);
+  if (!synthetic.ok()) return synthetic.status();
+  return AgmDpRun{std::move(synthetic).value(), std::move(params).value(),
+                  accountant.ledger()};
+}
+
 TEST(AgmDpTest, ValidatesOptions) {
   util::Rng rng(25);
   graph::AttributedGraph g = RandomAttributed(50, 0.1, 2, 26);
   AgmDpOptions options;
   options.epsilon = 0.0;
-  EXPECT_FALSE(SynthesizeAgmDp(g, options, rng).ok());
+  dp::PrivacyAccountant accountant(1.0);
+  EXPECT_FALSE(LearnAgmParamsDp(g, options, accountant, rng).ok());
 
   options.epsilon = 1.0;
   options.split.theta_x = 2.0;  // exceeds epsilon
   options.split.theta_f = 0.1;
   options.split.degree_seq = 0.1;
   options.split.triangles = 0.1;
-  EXPECT_FALSE(SynthesizeAgmDp(g, options, rng).ok());
+  EXPECT_FALSE(LearnAgmParamsDp(g, options, accountant, rng).ok());
+  EXPECT_EQ(accountant.spent(), 0.0);
 }
 
 TEST(AgmDpTest, LedgerSumsToBudget) {
@@ -325,13 +354,12 @@ TEST(AgmDpTest, LedgerSumsToBudget) {
   graph::AttributedGraph g = RandomAttributed(150, 0.05, 2, 28);
   AgmDpOptions options;
   options.epsilon = 0.8;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  auto result = RunAgmDp(g, options, rng);
   ASSERT_TRUE(result.ok());
   double spent = 0.0;
-  for (const auto& [label, eps] : result.value().budget_ledger) spent += eps;
+  for (const auto& [label, eps] : result.value().ledger) spent += eps;
   EXPECT_NEAR(spent, 0.8, 1e-9);
-  EXPECT_EQ(result.value().budget_ledger.size(), 4u);  // TriCycLe: 4 params
+  EXPECT_EQ(result.value().ledger.size(), 4u);  // TriCycLe: 4 params
 }
 
 TEST(AgmDpTest, FclLedgerHasThreeSpends) {
@@ -340,12 +368,11 @@ TEST(AgmDpTest, FclLedgerHasThreeSpends) {
   AgmDpOptions options;
   options.epsilon = 0.8;
   options.model = StructuralModelKind::kFcl;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  auto result = RunAgmDp(g, options, rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().budget_ledger.size(), 3u);
+  EXPECT_EQ(result.value().ledger.size(), 3u);
   double degree_share = 0.0;
-  for (const auto& [label, eps] : result.value().budget_ledger) {
+  for (const auto& [label, eps] : result.value().ledger) {
     if (label == "degree_sequence") degree_share = eps;
   }
   EXPECT_DOUBLE_EQ(degree_share, 0.4);  // half the budget
@@ -356,8 +383,7 @@ TEST(AgmDpTest, OutputPreservesNodeCountAndW) {
   graph::AttributedGraph g = RandomAttributed(120, 0.06, 2, 32);
   AgmDpOptions options;
   options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  auto result = RunAgmDp(g, options, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().graph.num_nodes(), 120u);
   EXPECT_EQ(result.value().graph.num_attributes(), 2);
@@ -367,10 +393,9 @@ TEST(AgmDpTest, DeterministicGivenSeed) {
   graph::AttributedGraph g = RandomAttributed(100, 0.06, 2, 33);
   AgmDpOptions options;
   options.epsilon = 0.5;
-  options.sample.acceptance_iterations = 1;
   util::Rng rng1(99), rng2(99);
-  auto r1 = SynthesizeAgmDp(g, options, rng1);
-  auto r2 = SynthesizeAgmDp(g, options, rng2);
+  auto r1 = RunAgmDp(g, options, rng1);
+  auto r2 = RunAgmDp(g, options, rng2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().graph.structure().CanonicalEdges(),
@@ -383,7 +408,7 @@ TEST(AgmDpTest, NonPrivateBaselineRuns) {
   graph::AttributedGraph g = RandomAttributed(100, 0.06, 2, 35);
   AgmSampleOptions options;
   options.model = StructuralModelKind::kFcl;
-  auto result = SynthesizeAgmNonPrivate(g, options, rng);
+  auto result = SampleAgmGraph(LearnAgmParams(g), options, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_nodes(), 100u);
 }
@@ -397,8 +422,7 @@ TEST(AgmDpTest, AllThetaFMethodsRunEndToEnd) {
     AgmDpOptions options;
     options.epsilon = 1.0;
     options.theta_f_method = method;
-    options.sample.acceptance_iterations = 1;
-    auto result = SynthesizeAgmDp(g, options, rng);
+    auto result = RunAgmDp(g, options, rng);
     EXPECT_TRUE(result.ok()) << "method " << static_cast<int>(method);
   }
 }

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/dp/constrained_inference.h"
@@ -19,6 +18,7 @@
 #include "src/graph/triangle_count.h"
 #include "src/models/chung_lu.h"
 #include "src/models/tricycle.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
@@ -155,19 +155,20 @@ TEST(EdgeCasesTest, AgmDpOnMinimalGraph) {
   g.structure().AddEdge(0, 1);
   ASSERT_TRUE(g.SetAttributes({0, 1}).ok());
   util::Rng rng(9);
-  agm::AgmDpOptions options;
-  options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = agm::SynthesizeAgmDp(g, options, rng);
-  ASSERT_TRUE(result.ok());
+  pipeline::PipelineConfig config;
+  config.epsilon = 1.0;
+  config.sample.acceptance_iterations = 1;
+  auto result = pipeline::RunPrivateRelease(g, config, rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().graph.num_nodes(), 2u);
 }
 
 TEST(EdgeCasesTest, AgmDpRejectsSingleNode) {
   graph::AttributedGraph g(1, 1);
   util::Rng rng(10);
-  agm::AgmDpOptions options;
-  EXPECT_FALSE(agm::SynthesizeAgmDp(g, options, rng).ok());
+  auto result = pipeline::RunPrivateRelease(g, pipeline::PipelineConfig(), rng);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------- statistics --

@@ -1,5 +1,5 @@
 // Tests for the extension modules: geometric mechanism, k-star ladder,
-// BTER, AGM parameter persistence, GraphML export.
+// BTER, GraphML export.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,8 +7,6 @@
 #include <fstream>
 #include <string>
 
-#include "src/agm/agm_sampler.h"
-#include "src/agm/params_io.h"
 #include "src/dp/geometric_mechanism.h"
 #include "src/dp/ladder_mechanism.h"
 #include "src/graph/clustering.h"
@@ -196,77 +194,6 @@ TEST(BterTest, DegreeDistributionTracked) {
   EXPECT_LT(stats::KsStatistic(graph::SortedDegreeSequence(g.value()),
                                graph::SortedDegreeSequence(input.value())),
             0.25);
-}
-
-// --------------------------------------------------------------- ParamsIo --
-
-TEST(ParamsIoTest, RoundTrip) {
-  agm::AgmParams params;
-  params.w = 2;
-  params.theta_x = {0.4, 0.3, 0.2, 0.1};
-  params.theta_f.assign(10, 0.1);
-  params.degree_sequence = {1, 2, 2, 3, 7};
-  params.target_triangles = 1234;
-
-  const std::string path = testing::TempDir() + "/params_roundtrip.txt";
-  ASSERT_TRUE(agm::WriteAgmParams(params, path).ok());
-  auto back = agm::ReadAgmParams(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().w, 2);
-  EXPECT_EQ(back.value().theta_x, params.theta_x);
-  EXPECT_EQ(back.value().theta_f, params.theta_f);
-  EXPECT_EQ(back.value().degree_sequence, params.degree_sequence);
-  EXPECT_EQ(back.value().target_triangles, 1234u);
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoTest, RejectsCorruptFiles) {
-  const std::string path = testing::TempDir() + "/params_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "agmdp-params v1\nw 2\ntheta_x 4 0.4 0.3\n";  // truncated
-  }
-  EXPECT_FALSE(agm::ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-  EXPECT_FALSE(agm::ReadAgmParams("/nonexistent/params").ok());
-}
-
-TEST(ParamsIoTest, RejectsDimensionMismatch) {
-  const std::string path = testing::TempDir() + "/params_dim.txt";
-  {
-    std::ofstream out(path);
-    // theta_f should have 10 entries for w=2, not 3.
-    out << "agmdp-params v1\nw 2\ntheta_x 4 0.25 0.25 0.25 0.25\n"
-        << "theta_f 3 0.3 0.3 0.4\ndegrees 2 1 1\ntriangles 0\n";
-  }
-  EXPECT_FALSE(agm::ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoTest, SampledGraphFromStoredParamsMatchesDirect) {
-  // fit -> save -> load -> sample must equal fit -> sample with equal seeds.
-  agm::AgmParams params;
-  params.w = 1;
-  params.theta_x = {0.6, 0.4};
-  params.theta_f = {0.5, 0.2, 0.3};
-  params.degree_sequence.assign(60, 3);
-  params.target_triangles = 20;
-
-  const std::string path = testing::TempDir() + "/params_sample.txt";
-  ASSERT_TRUE(agm::WriteAgmParams(params, path).ok());
-  auto loaded = agm::ReadAgmParams(path);
-  ASSERT_TRUE(loaded.ok());
-
-  agm::AgmSampleOptions options;
-  options.acceptance_iterations = 1;
-  util::Rng rng1(77), rng2(77);
-  auto direct = agm::SampleAgmGraph(params, options, rng1);
-  auto via_disk = agm::SampleAgmGraph(loaded.value(), options, rng2);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_disk.ok());
-  EXPECT_EQ(direct.value().structure().CanonicalEdges(),
-            via_disk.value().structure().CanonicalEdges());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- GraphMl --

@@ -1,16 +1,17 @@
-// End-to-end integration tests: dataset generation -> AGM-DP synthesis ->
-// utility evaluation -> persistence, i.e. the full workflow of Figure 4.
+// End-to-end integration tests: dataset generation -> AGM-DP release
+// (pipeline::RunPrivateRelease) -> utility evaluation -> persistence, i.e.
+// the full workflow of Figure 4.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 
-#include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/utility_report.h"
 #include "src/graph/graph_io.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
 
@@ -38,10 +39,10 @@ graph::AttributedGraph* EndToEndTest::input_ = nullptr;
 
 TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   util::Rng rng(101);
-  agm::AgmDpOptions options;
-  options.epsilon = std::log(3.0);
-  options.sample.acceptance_iterations = 2;
-  auto result = agm::SynthesizeAgmDp(*input_, options, rng);
+  pipeline::PipelineConfig config;
+  config.epsilon = std::log(3.0);
+  config.sample.acceptance_iterations = 2;
+  auto result = pipeline::RunPrivateRelease(*input_, config, rng);
   ASSERT_TRUE(result.ok());
 
   const stats::UtilityErrors errors =
@@ -61,17 +62,17 @@ TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
 TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
   // The paper's headline: TriCycLe reproduces clustering, FCL cannot.
   util::Rng rng(103);
-  agm::AgmDpOptions tri;
+  pipeline::PipelineConfig tri;
   tri.epsilon = std::log(3.0);
   tri.sample.acceptance_iterations = 2;
-  agm::AgmDpOptions fcl = tri;
-  fcl.model = agm::StructuralModelKind::kFcl;
+  pipeline::PipelineConfig fcl = tri;
+  fcl.model = "fcl";
 
   const eval::ReferenceProfile original = eval::ProfileReference(*input_);
   double tri_err = 0.0, fcl_err = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
-    auto rt = agm::SynthesizeAgmDp(*input_, tri, rng);
-    auto rf = agm::SynthesizeAgmDp(*input_, fcl, rng);
+    auto rt = pipeline::RunPrivateRelease(*input_, tri, rng);
+    auto rf = pipeline::RunPrivateRelease(*input_, fcl, rng);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(rf.ok());
     tri_err +=
@@ -84,10 +85,10 @@ TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
 
 TEST_F(EndToEndTest, SyntheticGraphRoundTripsThroughDisk) {
   util::Rng rng(105);
-  agm::AgmDpOptions options;
-  options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = agm::SynthesizeAgmDp(*input_, options, rng);
+  pipeline::PipelineConfig config;
+  config.epsilon = 1.0;
+  config.sample.acceptance_iterations = 1;
+  auto result = pipeline::RunPrivateRelease(*input_, config, rng);
   ASSERT_TRUE(result.ok());
 
   const std::string prefix = testing::TempDir() + "/synthetic_release";
@@ -107,13 +108,13 @@ TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
   double err_weak = 0.0, err_strong = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
     util::Rng rng(200 + trial);
-    agm::AgmDpOptions weak;
+    pipeline::PipelineConfig weak;
     weak.epsilon = 5.0;
     weak.sample.acceptance_iterations = 1;
-    agm::AgmDpOptions strong = weak;
+    pipeline::PipelineConfig strong = weak;
     strong.epsilon = 0.1;
-    auto rw = agm::SynthesizeAgmDp(*input_, weak, rng);
-    auto rs = agm::SynthesizeAgmDp(*input_, strong, rng);
+    auto rw = pipeline::RunPrivateRelease(*input_, weak, rng);
+    auto rs = pipeline::RunPrivateRelease(*input_, strong, rng);
     ASSERT_TRUE(rw.ok());
     ASSERT_TRUE(rs.ok());
     err_weak += eval::EvaluateRelease(original, rw.value().graph)

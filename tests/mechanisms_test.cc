@@ -70,8 +70,10 @@ TEST(MechanismRegistryTest, ListsEveryKnownTagWithItsPrivacyModel) {
     const mechanisms::MechanismSpec* spec = mechanisms::FindMechanism(tag);
     ASSERT_NE(spec, nullptr) << tag;
     EXPECT_EQ(spec->name, tag);
-    // Every mechanism, agm included, fits and serves through its entry.
+    // Every mechanism, agm included, fits, validates and serves through
+    // its entry.
     EXPECT_TRUE(spec->fit != nullptr) << tag;
+    EXPECT_TRUE(spec->validate != nullptr) << tag;
     EXPECT_TRUE(spec->make_sampler != nullptr) << tag;
   }
   EXPECT_EQ(mechanisms::FindMechanism("agm")->privacy_model,
@@ -193,6 +195,35 @@ TEST(MechanismArtifactTest, AgmArtifactsMustNotCarryAPayload) {
   doctored.mechanism = "agm";
   doctored.model = "tricycle";
   EXPECT_FALSE(pipeline::ValidateReleaseArtifact(doctored).ok());
+
+  // The codec reads a payload whenever one is present and leaves the
+  // per-tag verdict to the registry's validate: an agm document carrying
+  // one, a community_dp document missing its own, and an all-zero payload
+  // (which the writer never emits) are all typed read errors.
+  pipeline::ReleaseArtifact stripped = artifact.value();
+  stripped.payload = pipeline::MechanismPayload();
+  auto agm = Fit("agm", 0.7, 21);
+  ASSERT_TRUE(agm.ok()) << agm.status().ToString();
+  std::string zero_payload = pipeline::ReleaseArtifactToJson(agm.value());
+  const size_t close = zero_payload.rfind('}');
+  ASSERT_NE(close, std::string::npos);
+  zero_payload.insert(close,
+                      ", \"mechanism_payload\": {\"num_blocks\": 0, "
+                      "\"node_blocks\": [], \"block_edges\": [], "
+                      "\"block_attr\": [], \"k_anonymity\": 0, "
+                      "\"t_closeness\": 0}");
+  for (const std::string& json :
+       {pipeline::ReleaseArtifactToJson(doctored),
+        pipeline::ReleaseArtifactToJson(stripped), zero_payload}) {
+    auto parsed = pipeline::ReleaseArtifactFromJson(json);
+    ASSERT_FALSE(parsed.ok()) << json.substr(0, 120);
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument)
+        << parsed.status().ToString();
+  }
+  // An untouched agm document still reads back.
+  EXPECT_TRUE(pipeline::ReleaseArtifactFromJson(
+                  pipeline::ReleaseArtifactToJson(agm.value()))
+                  .ok());
 }
 
 TEST(MechanismEngineTest, SampleManyMatchesSequentialSamplesForEveryTag) {

@@ -1,15 +1,13 @@
-// Regression tests for the hardened params reader/writer: NaN, negative
-// and wrapped-negative values, truncated files, and absurd length fields
-// must come back as util::Status errors — never as garbage AgmParams.
+// Regression tests for agm::ValidateAgmParams, the "agm" mechanism's
+// artifact rule: NaN, negative and infinite theta entries, dimension
+// mismatches, an overflowing w and an empty degree sequence must come back
+// as util::Status errors — never reach the sampler as garbage AgmParams.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <string>
 
-#include "src/agm/params_io.h"
+#include "src/agm/agm_sampler.h"
 
 namespace agmdp::agm {
 namespace {
@@ -22,13 +20,6 @@ AgmParams ValidParams() {
   params.degree_sequence = {1, 2, 2, 3, 7};
   params.target_triangles = 9;
   return params;
-}
-
-std::string WriteFile(const std::string& name, const std::string& body) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::ofstream out(path, std::ios::trunc);
-  out << body;
-  return path;
 }
 
 TEST(ParamsValidationTest, AcceptsValidParams) {
@@ -66,99 +57,6 @@ TEST(ParamsValidationTest, RejectsNanNegativeAndMismatchedParams) {
   params = ValidParams();
   params.degree_sequence.clear();
   EXPECT_FALSE(ValidateAgmParams(params).ok());
-}
-
-TEST(ParamsIoHardeningTest, WriteRejectsGarbageParams) {
-  AgmParams params = ValidParams();
-  params.theta_x[0] = std::nan("");
-  const std::string path = testing::TempDir() + "/params_nan_write.txt";
-  auto status = WriteAgmParams(params, path);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsNanTheta) {
-  // istream extraction happily parses "nan" into a double; the validator
-  // must catch it.
-  const std::string path = WriteFile(
-      "params_nan.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 nan 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles 0\n");
-  auto result = ReadAgmParams(path);
-  ASSERT_FALSE(result.ok());
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsNegativeTheta) {
-  const std::string path = WriteFile(
-      "params_neg.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 -0.5 1.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles 0\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsNegativeDegreesInsteadOfWrapping) {
-  // "-3" read into uint32_t wraps to 4294967293 on most stdlibs; the
-  // reader must reject it, not store a four-billion degree.
-  const std::string path = WriteFile(
-      "params_negdeg.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 -3 1\ntriangles 0\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsTruncatedFiles) {
-  const char* bodies[] = {
-      // Cut mid-theta.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5\n",
-      // Cut before degrees.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n",
-      // Cut mid-degrees.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 5 1 2\n",
-      // Missing the triangles value.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles\n",
-      // Empty file.
-      "",
-  };
-  int index = 0;
-  for (const char* body : bodies) {
-    const std::string path =
-        WriteFile("params_trunc_" + std::to_string(index++) + ".txt", body);
-    EXPECT_FALSE(ReadAgmParams(path).ok()) << body;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsAbsurdLengthFieldsWithoutAllocating) {
-  // A corrupted count must fail fast instead of resize()-ing to petabytes.
-  const std::string path = WriteFile(
-      "params_hugecount.txt",
-      "agmdp-params v1\nw 1\ntheta_x 99999999999999 0.5 0.5\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-
-  const std::string negative_count = WriteFile(
-      "params_negcount.txt",
-      "agmdp-params v1\nw 1\ntheta_x -2 0.5 0.5\n");
-  EXPECT_FALSE(ReadAgmParams(negative_count).ok());
-  std::remove(negative_count.c_str());
-}
-
-TEST(ParamsIoHardeningTest, ValidRoundTripStillWorks) {
-  const AgmParams params = ValidParams();
-  const std::string path = testing::TempDir() + "/params_ok.txt";
-  ASSERT_TRUE(WriteAgmParams(params, path).ok());
-  auto back = ReadAgmParams(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().theta_x, params.theta_x);
-  EXPECT_EQ(back.value().theta_f, params.theta_f);
-  EXPECT_EQ(back.value().degree_sequence, params.degree_sequence);
-  EXPECT_EQ(back.value().target_triangles, params.target_triangles);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/agm/agm_sampler.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
+#include "src/mechanisms/release_mechanism.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/server/protocol.h"
@@ -98,16 +99,26 @@ TEST(ReleasePipelineTest, FitAloneCarriesFullLedgerAndStageTimings) {
   config.epsilon = 1.0;
   config.model = "tricycle";
   util::Rng rng(11);
-  auto fit = pipeline::FitPrivateParams(Input(), config, rng);
+  auto fit = pipeline::FitReleaseArtifact(Input(), config, rng);
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
   double sum = 0.0;
   for (const auto& [label, eps] : fit.value().ledger) sum += eps;
   EXPECT_DOUBLE_EQ(sum, config.epsilon);
-  ASSERT_EQ(fit.value().stage_seconds.size(), 4u);
-  EXPECT_EQ(fit.value().stage_seconds[0].stage, "theta_x");
-  EXPECT_EQ(fit.value().stage_seconds[3].stage, "triangles");
   EXPECT_EQ(fit.value().params.degree_sequence.size(), Input().num_nodes());
+
+  // The per-stage fit timings come through the registry fit, and the same
+  // stream gives the same release with or without them.
+  std::vector<agm::StageSeconds> stages;
+  util::Rng timed_rng(11);
+  auto timed = mechanisms::FindMechanism("agm")->fit(Input(), config,
+                                                     timed_rng, &stages);
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  ASSERT_EQ(stages.size(), 4u);
+  EXPECT_EQ(stages[0].stage, "theta_x");
+  EXPECT_EQ(stages[3].stage, "triangles");
+  EXPECT_EQ(pipeline::ReleaseArtifactToJson(timed.value()),
+            pipeline::ReleaseArtifactToJson(fit.value()));
 }
 
 TEST(ReleasePipelineTest, ReleaseRecordsSampleStageAndTotalTime) {
@@ -144,7 +155,7 @@ TEST(SamplerDeterminismTest, IdenticalGraphAcross124Threads) {
     pipeline::PipelineConfig fit_config;
     fit_config.model = model;
     util::Rng fit_rng(23);
-    auto fit = pipeline::FitPrivateParams(Input(), fit_config, fit_rng);
+    auto fit = pipeline::FitReleaseArtifact(Input(), fit_config, fit_rng);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
     graph::AttributedGraph reference;

@@ -356,9 +356,20 @@ TEST(PipelineConfigValidateTest, CatchesBadConfigsBeforeAnyBudgetIsSpent) {
   config = pipeline::PipelineConfig();
   config.model = "no_such_model";
   util::Rng rng(1);
-  auto fit = pipeline::FitPrivateParams(Input(), config, rng);
+  auto fit = pipeline::FitReleaseArtifact(Input(), config, rng);
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), util::StatusCode::kInvalidArgument);
+  // So does the registry fit called directly, without Validate() first —
+  // for an unregistered model and for an epsilon no accountant can hold.
+  const mechanisms::MechanismSpec* agm = mechanisms::FindMechanism("agm");
+  auto direct = agm->fit(Input(), config, rng, nullptr);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), util::StatusCode::kInvalidArgument);
+  config = pipeline::PipelineConfig();
+  config.epsilon = 0.0;
+  direct = agm->fit(Input(), config, rng, nullptr);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------- sweep reuse --

@@ -76,10 +76,10 @@ const pipeline::ReleaseArtifact& FittedArtifact(uint64_t seed) {
   return it->second;
 }
 
-/// Writes the artifact next to the test binary and returns the path.
+/// Writes the artifact under the test temp dir and returns the path.
 std::string ArtifactFile(uint64_t seed) {
-  const std::string path =
-      "server_test_artifact_" + std::to_string(seed) + ".json";
+  const std::string path = ::testing::TempDir() + "server_test_artifact_" +
+                           std::to_string(seed) + ".json";
   auto st = pipeline::WriteReleaseArtifact(FittedArtifact(seed), path);
   AGMDP_CHECK_MSG(st.ok(), st.ToString().c_str());
   return path;
@@ -94,8 +94,7 @@ std::shared_ptr<pipeline::ReleaseEngine> MakeEngine(uint64_t seed) {
   return std::move(engine).value();
 }
 
-/// A community_dp release of the same input, written next to the test
-/// binary; returns the path.
+/// A community_dp release of the same input.
 const pipeline::ReleaseArtifact& CommunityArtifact() {
   static const pipeline::ReleaseArtifact* artifact = [] {
     pipeline::PipelineConfig config = TestConfig();
@@ -108,8 +107,11 @@ const pipeline::ReleaseArtifact& CommunityArtifact() {
   return *artifact;
 }
 
+/// Writes the community_dp release under the test temp dir; returns the
+/// path.
 std::string CommunityArtifactFile() {
-  const std::string path = "server_test_artifact_community_dp.json";
+  const std::string path =
+      ::testing::TempDir() + "server_test_artifact_community_dp.json";
   auto st = pipeline::WriteReleaseArtifact(CommunityArtifact(), path);
   AGMDP_CHECK_MSG(st.ok(), st.ToString().c_str());
   return path;

@@ -114,13 +114,18 @@ TEST(SweepEngineTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
   SweepSpec parallel = SmallSpec();
   parallel.threads = 4;
   auto third = RunSweep(Inputs(), parallel);
-  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  // threads = 0 sizes the cell pool from the available cores.
+  SweepSpec all_cores = SmallSpec();
+  all_cores.threads = 0;
+  auto fourth = RunSweep(Inputs(), all_cores);
+  ASSERT_TRUE(first.ok() && second.ok() && third.ok() && fourth.ok());
 
   const std::string a = SweepResultToJson(first.value(), false);
   const std::string b = SweepResultToJson(second.value(), false);
   const std::string c = SweepResultToJson(third.value(), false);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+  EXPECT_EQ(a, SweepResultToJson(fourth.value(), false));
 
   // Schema markers and balanced structure.
   EXPECT_NE(a.find("\"schema\": \"agmdp.sweep.v4\""), std::string::npos);

@@ -10,7 +10,7 @@
 //              PREFIX.attrs).
 //   fit        --in=PREFIX --epsilon=0.69 [--mechanism=NAME] [--model=NAME]
 //              [--k-anonymity=K] [--t-closeness=T] [--community-blocks=B]
-//              [--artifact-out=FILE] [--params-out=FILE]
+//              [--artifact-out=FILE]
 //              Fit a private release under the named mechanism (default
 //              agm; see `agmdp models` for the registry) and write it as a
 //              mechanism-tagged release artifact (JSON: parameters + budget
@@ -27,7 +27,9 @@
 //              samples by --serve-threads; with N = 1, --threads still
 //              sets the intra-sample sampler workers. --cold disables the
 //              calibrated warm start (full per-sample acceptance loop).
-//              --params=FILE consumes a legacy raw-params file instead.
+//              The artifact is the only stored form of a release: the
+//              removed raw-params flags (fit --params-out, sample
+//              --params) exit 2 naming --artifact-out / --artifact.
 //   synthesize --in=PREFIX --epsilon=0.69 --out=PREFIX2 [--model=NAME]
 //              [--threads=T]
 //              fit + sample in one step, with stage timings.
@@ -118,8 +120,8 @@
 // everywhere; --out paths ending in ".agmbin" write binary containers.
 //
 // --model accepts any registry name (see `agmdp models`); --threads sets
-// the sampler worker count (0 = hardware concurrency) — output is
-// identical for a given seed at any thread count. An unknown subcommand
+// the sampler worker count (sweep: the cell workers; 0 = the available
+// cores) — output is identical for a given seed at any thread count. An unknown subcommand
 // exits non-zero with the closest-matching suggestion.
 //
 // Exit codes: 0 success, 1 runtime failure (a fit/sample/serve step
@@ -140,7 +142,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/agm/params_io.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
 #include "src/eval/utility_report.h"
@@ -384,7 +385,24 @@ int CmdGenerate(const util::Flags& flags) {
   return 0;
 }
 
+/// The raw-params text file predates release artifacts and is gone.
+/// util::Flags ignores unknown flags, so a script still passing the old
+/// flag must fail loudly — `sample --params=F` would otherwise serve
+/// whatever artifact sits at the default path.
+util::Status RejectRemovedFlag(const util::Flags& flags, const char* removed,
+                               const char* replacement) {
+  if (!flags.Has(removed)) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      std::string("--") + removed +
+      " was removed: the release artifact is the only stored release; use --" +
+      replacement + "=FILE");
+}
+
 int CmdFit(const util::Flags& flags) {
+  if (auto st = RejectRemovedFlag(flags, "params-out", "artifact-out");
+      !st.ok()) {
+    return FailUsage(st);
+  }
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
@@ -396,43 +414,29 @@ int CmdFit(const util::Flags& flags) {
 
   auto artifact = pipeline::FitReleaseArtifact(input.value(), config, rng);
   if (!artifact.ok()) return Fail(artifact.status());
-  // A purely legacy invocation (--params-out given, no --artifact-out)
-  // writes only the raw params — no surprise release.artifact.json
-  // clobbered in the working directory. Everyone else gets the artifact,
-  // at --artifact-out or the default that `agmdp sample` reads flaglessly.
-  const bool legacy_only =
-      flags.Has("params-out") && !flags.Has("artifact-out");
-  if (!legacy_only) {
-    const std::string out =
-        flags.GetString("artifact-out", "release.artifact.json");
-    if (auto st = pipeline::WriteReleaseArtifact(artifact.value(), out);
-        !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("fitted eps=%.4f release artifact (mechanism=%s, model=%s, "
-                "fingerprint=%llu) -> %s\n",
-                config.epsilon, artifact.value().mechanism.c_str(),
-                artifact.value().model.c_str(),
-                static_cast<unsigned long long>(
-                    artifact.value().config_fingerprint),
-                out.c_str());
+  // Default matches sample's --artifact, so the flagless
+  // `agmdp fit` -> `agmdp sample` round trip works out of the box.
+  const std::string out =
+      flags.GetString("artifact-out", "release.artifact.json");
+  if (auto st = pipeline::WriteReleaseArtifact(artifact.value(), out);
+      !st.ok()) {
+    return Fail(st);
   }
-  if (flags.Has("params-out")) {
-    // Legacy raw-params sidecar for tools that predate artifacts.
-    const std::string params_out = flags.GetString("params-out", "");
-    if (auto st =
-            agm::WriteAgmParams(artifact.value().params, params_out);
-        !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("fitted eps=%.4f params (model=%s) -> %s\n", config.epsilon,
-                config.model.c_str(), params_out.c_str());
-  }
+  std::printf("fitted eps=%.4f release artifact (mechanism=%s, model=%s, "
+              "fingerprint=%llu) -> %s\n",
+              config.epsilon, artifact.value().mechanism.c_str(),
+              artifact.value().model.c_str(),
+              static_cast<unsigned long long>(
+                  artifact.value().config_fingerprint),
+              out.c_str());
   PrintLedger(artifact.value().ledger, artifact.value().epsilon_budget);
   return 0;
 }
 
 int CmdSample(const util::Flags& flags) {
+  if (auto st = RejectRemovedFlag(flags, "params", "artifact"); !st.ok()) {
+    return FailUsage(st);
+  }
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
@@ -445,23 +449,14 @@ int CmdSample(const util::Flags& flags) {
   }
   const int samples = static_cast<int>(samples_flag.value());
 
-  pipeline::ReleaseArtifact artifact;
-  if (flags.Has("params")) {
-    // Legacy path: raw params + the model named on the command line.
-    auto params = agm::ReadAgmParams(flags.GetString("params", "agm.params"));
-    if (!params.ok()) return FailUsage(params.status());
-    artifact = pipeline::MakeReleaseArtifact(params.value(), config);
-  } else {
-    // Default matches fit's --artifact-out, so the flagless
-    // `agmdp fit` -> `agmdp sample` round trip works out of the box.
-    // A nonexistent or unparseable artifact is a usage error: the caller
-    // named the wrong file, the pipeline never ran.
-    auto loaded = pipeline::ReadReleaseArtifact(
-        flags.GetString("artifact", "release.artifact.json"));
-    if (!loaded.ok()) return FailUsage(loaded.status());
-    artifact = std::move(loaded).value();
-    if (flags.Has("model")) artifact.model = config.model;
-  }
+  // Default matches fit's --artifact-out. A nonexistent or unparseable
+  // artifact is a usage error: the caller named the wrong file, the
+  // pipeline never ran.
+  auto loaded = pipeline::ReadReleaseArtifact(
+      flags.GetString("artifact", "release.artifact.json"));
+  if (!loaded.ok()) return FailUsage(loaded.status());
+  pipeline::ReleaseArtifact artifact = std::move(loaded).value();
+  if (flags.Has("model")) artifact.model = config.model;
   if (flags.Has("accept_iters")) {
     artifact.acceptance_iterations = config.sample.acceptance_iterations;
   }
@@ -489,7 +484,7 @@ int CmdSample(const util::Flags& flags) {
       std::vector<graph::AttributedGraph>{};
   if (samples == 1) {
     // A single request keeps --threads as *intra-sample* sampler workers
-    // (the pre-serving behavior, 0 = hardware concurrency); batches
+    // (the pre-serving behavior, 0 = the available cores); batches
     // parallelize across samples instead. The bits are identical either
     // way.
     pipeline::SampleRequest request = base;
