@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "src/eval/utility_report.h"
-#include "src/graph/clustering.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
@@ -17,6 +16,7 @@
 #include "src/models/chung_lu.h"
 #include "src/models/tcl.h"
 #include "src/models/tricycle.h"
+#include "src/stats/summary.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -30,7 +30,7 @@ void PrintSeries(const char* dataset, const char* model,
                  const graph::Graph& g, size_t points) {
   const graph::CsrGraph snapshot = graph::CsrGraph::FromGraph(g);
   std::printf("# %s %s avg_local_cc=%.4f\n", dataset, model,
-              graph::AverageLocalClustering(snapshot));
+              stats::Summarize(snapshot).avg_local_clustering);
   for (const auto& [x, y] : eval::ClusteringCcdfSeries(snapshot, points)) {
     std::printf("%s %s %.5f %.6f\n", dataset, model, x, y);
   }

@@ -5,10 +5,10 @@
 // thread sweep (1/2/4 workers over the same seed) with its wall-clock
 // speedup — the determinism contract is asserted on the way.
 //
-// The csr_analytics_seconds section compares the immutable CsrGraph
-// snapshot kernels (1/2/4 analytics threads) against the adjacency-list
-// path on the same graph, asserting the determinism contract (results
-// bitwise-identical to the legacy path at every thread count).
+// The csr_analytics_seconds section compares the fused CsrGraph snapshot
+// kernel (1/2/4 analytics threads) against the adjacency-list kernels on
+// the same graph, asserting the determinism contract (results
+// bitwise-identical to the adjacency-list path at every thread count).
 // hardware_concurrency is recorded so speedup numbers from 1-core
 // containers are interpretable.
 //
@@ -52,6 +52,7 @@
 #include "src/graph/clustering.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/graph_container.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/graph_source.h"
@@ -165,10 +166,11 @@ int main(int argc, char** argv) {
   // ------------------------------------------- CSR snapshot analytics path
   // The immutable snapshot vs the mutable adjacency-list representation on
   // the same graph: snapshot construction, then triangle counting + local
-  // clustering (the dominant eval kernels) and the full EvaluateRelease
-  // metric suite. CSR kernels run at 1/2/4 analytics threads; the
-  // determinism contract — bitwise-identical to the legacy path at every
-  // thread count — is asserted on the way.
+  // clustering (the dominant eval kernels: the Graph kernels vs one
+  // structure-only FusedEvaluate) and the full EvaluateRelease metric
+  // suite. The fused kernel runs at 1/2/4 analytics threads; the
+  // determinism contract — bitwise-identical to the adjacency-list path at
+  // every thread count — is asserted on the way.
   {
     json.Key("csr_analytics_seconds").BeginObject();
     auto entry = [&](const std::string& name, double seconds) {
@@ -195,25 +197,19 @@ int main(int argc, char** argv) {
     entry("adjacency_clustering", adjacency_clustering_seconds);
 
     bool deterministic = true;
-    double csr_triangles_1t = 0.0, csr_clustering_1t = 0.0;
+    double csr_1t = 0.0;
     for (int threads : {1, 2, 4}) {
-      uint64_t triangles_csr = 0;
-      const double tri_seconds = TimeBest(trials, [&] {
-        triangles_csr = graph::CountTriangles(snapshot.structure, threads);
+      graph::FusedOptions opts;
+      opts.threads = threads;
+      graph::FusedStats fused;
+      const double seconds = TimeBest(trials, [&] {
+        fused = graph::FusedEvaluate(snapshot.structure, opts);
       });
-      std::vector<double> clustering_csr;
-      const double cc_seconds = TimeBest(trials, [&] {
-        clustering_csr =
-            graph::LocalClusteringCoefficients(snapshot.structure, threads);
-      });
-      deterministic = deterministic && triangles_csr == triangles_legacy &&
-                      clustering_csr == clustering_legacy;
-      if (threads == 1) {
-        csr_triangles_1t = tri_seconds;
-        csr_clustering_1t = cc_seconds;
-      }
-      entry("triangles_" + std::to_string(threads) + "t", tri_seconds);
-      entry("clustering_" + std::to_string(threads) + "t", cc_seconds);
+      deterministic = deterministic &&
+                      fused.clustering.triangles == triangles_legacy &&
+                      fused.clustering.local_coefficients == clustering_legacy;
+      if (threads == 1) csr_1t = seconds;
+      entry("fused_structure_" + std::to_string(threads) + "t", seconds);
     }
 
     // The sweep engine's per-release workload: the full metric suite, with
@@ -229,28 +225,26 @@ int main(int argc, char** argv) {
       report_csr = eval::EvaluateRelease(reference, input,
                                          /*analytics_threads=*/1);
     }));
-    deterministic =
-        deterministic && report_csr.Flatten() == report_legacy.Flatten();
+    const auto flat_legacy = report_legacy.Flatten();
+    deterministic = deterministic && report_csr.Flatten() == flat_legacy;
     json.EndObject();
 
     const double adjacency_total =
         adjacency_triangles_seconds + adjacency_clustering_seconds;
-    const double csr_total = csr_triangles_1t + csr_clustering_1t;
     json.Key("csr_triangle_clustering_speedup_1t")
-        .Value(csr_total > 0.0 ? adjacency_total / csr_total : 0.0);
+        .Value(csr_1t > 0.0 ? adjacency_total / csr_1t : 0.0);
     json.Key("csr_deterministic_1_2_4").Value(deterministic);
     std::printf("csr tri+clustering speedup    %10.2fx (deterministic: %s)\n",
-                csr_total > 0.0 ? adjacency_total / csr_total : 0.0,
+                csr_1t > 0.0 ? adjacency_total / csr_1t : 0.0,
                 deterministic ? "yes" : "NO");
     AGMDP_CHECK_MSG(deterministic,
                     "CSR analytics differ from the adjacency-list path");
 
     // ------------------------------------------- fused evaluation kernel
-    // The production EvaluateRelease (fused two-sweep kernel) vs the
-    // pre-fusion one-pass-per-metric CSR path, on the SAME prebuilt
-    // snapshot and reference profile, so fused_eval_speedup isolates the
-    // kernel fusion itself. Both dispatch arms and 1/2/4 threads must all
-    // flatten to the multipass report bit for bit.
+    // The production EvaluateRelease (fused two-sweep kernel) on the SAME
+    // prebuilt snapshot and reference profile at 1/2/4 threads and on each
+    // dispatch arm; every run must flatten to the adjacency-list report bit
+    // for bit.
     {
       json.Key("fused_eval_seconds").BeginObject();
       auto fused_entry = [&](const std::string& name, double seconds) {
@@ -259,14 +253,6 @@ int main(int argc, char** argv) {
                     1e3 * seconds);
       };
 
-      eval::UtilityReport report_multipass;
-      const double multipass_1t = TimeBest(trials, [&] {
-        report_multipass = eval::EvaluateReleaseMultipassCsr(
-            reference, snapshot, /*analytics_threads=*/1);
-      });
-      fused_entry("multipass_1t", multipass_1t);
-      const auto flat_multipass = report_multipass.Flatten();
-
       bool fused_deterministic = true;
       double fused_1t = 0.0, fused_4t = 0.0;
       for (int threads : {1, 2, 4}) {
@@ -274,8 +260,8 @@ int main(int argc, char** argv) {
         const double seconds = TimeBest(trials, [&] {
           report_fused = eval::EvaluateRelease(reference, snapshot, threads);
         });
-        fused_deterministic = fused_deterministic &&
-                              report_fused.Flatten() == flat_multipass;
+        fused_deterministic =
+            fused_deterministic && report_fused.Flatten() == flat_legacy;
         if (threads == 1) fused_1t = seconds;
         if (threads == 4) fused_4t = seconds;
         fused_entry("fused_" + std::to_string(threads) + "t", seconds);
@@ -296,23 +282,21 @@ int main(int argc, char** argv) {
                                              /*analytics_threads=*/1);
         });
         util::SetSimdIsaOverride(util::SimdIsa::kAuto);
-        fused_deterministic = fused_deterministic &&
-                              report_arm.Flatten() == flat_multipass;
+        fused_deterministic =
+            fused_deterministic && report_arm.Flatten() == flat_legacy;
         fused_entry(std::string("fused_") + util::SimdIsaName(arm) + "_1t",
                     seconds);
       }
       json.EndObject();
 
-      const double fused_speedup =
-          fused_1t > 0.0 ? multipass_1t / fused_1t : 0.0;
-      json.Key("fused_eval_speedup").Value(fused_speedup);
-      json.Key("fused_eval_parallel_speedup_4t")
-          .Value(fused_4t > 0.0 ? fused_1t / fused_4t : 0.0);
+      const double parallel_speedup =
+          fused_4t > 0.0 ? fused_1t / fused_4t : 0.0;
+      json.Key("fused_eval_parallel_speedup_4t").Value(parallel_speedup);
       json.Key("fused_deterministic").Value(fused_deterministic);
-      std::printf("fused eval speedup            %10.2fx (deterministic: %s)\n",
-                  fused_speedup, fused_deterministic ? "yes" : "NO");
+      std::printf("fused eval 4t speedup         %10.2fx (deterministic: %s)\n",
+                  parallel_speedup, fused_deterministic ? "yes" : "NO");
       AGMDP_CHECK_MSG(fused_deterministic,
-                      "fused evaluation differs from the multipass CSR path");
+                      "fused evaluation differs from the adjacency-list path");
     }
   }
 

@@ -76,7 +76,7 @@ struct AgmSampleOptions {
   /// Overrides `model` when set (registry-provided structural models).
   StructuralGenerator generator;
   /// Worker threads for the sampler hot path (sharded FCL edge proposals
-  /// and Θ'F measurement). 0 = hardware concurrency. SampleAgmGraph spawns
+  /// and Θ'F measurement). 0 = the available cores. SampleAgmGraph spawns
   /// one persistent util::WorkerPool per call and reuses it across every
   /// acceptance iteration. The output graph is bitwise-identical for a
   /// given seed at any thread count: the work is split into a fixed number

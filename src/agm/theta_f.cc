@@ -6,7 +6,6 @@
 #include "src/dp/smooth_sensitivity.h"
 #include "src/graph/components.h"
 #include "src/util/check.h"
-#include "src/util/parallel.h"
 
 namespace agmdp::agm {
 
@@ -19,45 +18,9 @@ std::vector<double> ComputeConnectionCounts(const graph::AttributedGraph& g) {
   return counts;
 }
 
-std::vector<double> ComputeConnectionCounts(const graph::AttributedCsrGraph& g,
-                                            int threads) {
-  const int w = g.num_attributes;
-  std::vector<uint64_t> tally(graph::NumEdgeConfigs(w), 0);
-  util::ParallelTally(
-      g.num_nodes(), threads,
-      [&] { return std::vector<uint64_t>(tally.size(), 0); },
-      [&](std::vector<uint64_t>& local, uint64_t begin, uint64_t end) {
-        for (uint64_t ui = begin; ui < end; ++ui) {
-          const auto u = static_cast<graph::NodeId>(ui);
-          for (graph::NodeId v : g.structure.Neighbors(u)) {
-            if (v <= u) continue;
-            ++local[graph::EncodeEdgeConfig(g.attribute(u), g.attribute(v),
-                                            w)];
-          }
-        }
-      },
-      [&](const std::vector<uint64_t>& local) {
-        for (size_t i = 0; i < tally.size(); ++i) tally[i] += local[i];
-      });
-  // The Graph path accumulates +1.0 per edge — exact, so casting the
-  // integer tallies reproduces it bit-for-bit.
-  std::vector<double> counts(tally.size());
-  for (size_t i = 0; i < tally.size(); ++i) {
-    counts[i] = static_cast<double>(tally[i]);
-  }
-  return counts;
-}
-
 std::vector<double> ComputeThetaF(const graph::AttributedGraph& g) {
   std::vector<double> counts = ComputeConnectionCounts(g);
   // Edgeless graphs normalize to uniform inside ClampAndNormalize.
-  return dp::ClampAndNormalize(std::move(counts), 0.0,
-                               static_cast<double>(g.num_edges() + 1));
-}
-
-std::vector<double> ComputeThetaF(const graph::AttributedCsrGraph& g,
-                                  int threads) {
-  std::vector<double> counts = ComputeConnectionCounts(g, threads);
   return dp::ClampAndNormalize(std::move(counts), 0.0,
                                static_cast<double>(g.num_edges() + 1));
 }

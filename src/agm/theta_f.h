@@ -15,27 +15,19 @@
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
-#include "src/graph/csr.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace agmdp::agm {
 
 /// Exact connection counts Q_F over the edges of g, length C(2^w + 1, 2).
-/// The snapshot overload tallies on `threads` workers (<= 0 selects
-/// hardware concurrency); counts are integers, so it agrees exactly with
-/// the Graph path at any thread count.
 std::vector<double> ComputeConnectionCounts(const graph::AttributedGraph& g);
-std::vector<double> ComputeConnectionCounts(const graph::AttributedCsrGraph& g,
-                                            int threads = 1);
 
 /// Exact ΘF (normalized Q_F); uniform when the graph has no edges.
 std::vector<double> ComputeThetaF(const graph::AttributedGraph& g);
-std::vector<double> ComputeThetaF(const graph::AttributedCsrGraph& g,
-                                  int threads = 1);
 
-/// Exact ΘF from already-tallied integer connection counts (the fused
-/// evaluation path, graph/fused_eval.h): the cast integers match the
+/// Exact ΘF from already-tallied integer connection counts (the snapshot
+/// path: graph/fused_eval.h tallies them): the cast integers match the
 /// Graph path's +1.0-per-edge accumulation exactly, so the result is
 /// bitwise-identical to ComputeThetaF on the same graph.
 std::vector<double> ThetaFFromConnectionCounts(

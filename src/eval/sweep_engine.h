@@ -70,9 +70,9 @@ struct SweepSpec {
   /// one fit's noise draw, so per-cell stddevs reflect sampler variance
   /// only; in exchange each cell costs one fit and spends epsilon once.
   bool reuse_fit = false;
-  /// Worker threads inside the CsrGraph analytics kernels when profiling
-  /// inputs and evaluating releases (<= 0 = hardware concurrency). Results
-  /// are bitwise-identical at any value.
+  /// Worker threads inside the fused CsrGraph analytics kernel when
+  /// profiling inputs and evaluating releases (<= 0 = the available
+  /// cores). Results are bitwise-identical at any value.
   int analytics_threads = 1;
   /// Optional custom budget split; zero-total selects the model default.
   dp::BudgetSplit split;

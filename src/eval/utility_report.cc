@@ -214,61 +214,6 @@ UtilityReport EvaluateRelease(const ReferenceProfile& original,
   return report;
 }
 
-UtilityReport EvaluateReleaseMultipassCsr(
-    const ReferenceProfile& original, const graph::AttributedCsrGraph& released,
-    int analytics_threads) {
-  UtilityReport report;
-  const graph::CsrGraph& g1 = released.structure;
-
-  const ThetaFError theta = CompareThetaF(
-      agm::ComputeThetaF(released, analytics_threads), original.theta_f);
-  report.errors.theta_f_mae = theta.mae;
-  report.errors.theta_f_hellinger = theta.hellinger;
-
-  report.errors.degree_ks = stats::KsStatistic(
-      graph::SortedDegreeSequence(g1), original.sorted_degrees);
-  const std::vector<double> dist1 = stats::DegreeDistribution(g1);
-  report.errors.degree_hellinger =
-      stats::HellingerDistance(dist1, original.degree_distribution);
-  report.degree_kl =
-      stats::KlDivergence(original.degree_distribution, dist1);
-  // sup |F1-F2| over degrees == sup |CCDF1-CCDF2|: reuse the KS statistic.
-  report.degree_ccdf_distance = report.errors.degree_ks;
-
-  // One run of the per-node triangle kernel yields the whole clustering
-  // family plus the exact triangle total (sum / 3).
-  const graph::ClusteringStats clustering =
-      graph::ComputeClusteringStats(g1, analytics_threads);
-  const std::vector<double>& cc1 = clustering.local_coefficients;
-  report.clustering_ccdf_distance =
-      stats::KsDistance(original.local_clustering, cc1);
-  report.errors.avg_clustering_re = stats::RelativeError(
-      clustering.avg_local_clustering, original.avg_clustering);
-  report.errors.global_clustering_re = stats::RelativeError(
-      clustering.global_clustering, original.global_clustering);
-
-  report.errors.triangles_re = stats::RelativeError(
-      static_cast<double>(clustering.triangles), original.triangles);
-  report.errors.edges_re = stats::RelativeError(
-      static_cast<double>(g1.num_edges()), original.edges);
-
-  report.degree_assortativity_delta =
-      stats::DegreeAssortativity(g1, analytics_threads) -
-      original.degree_assortativity;
-  report.attribute_assortativity_delta =
-      stats::AttributeAssortativity(released, analytics_threads) -
-      original.attribute_assortativity;
-
-  const std::vector<double> h1 =
-      stats::PerAttributeHomophily(released, analytics_threads);
-  const size_t w = std::min(original.homophily.size(), h1.size());
-  report.homophily_delta.resize(w);
-  for (size_t a = 0; a < w; ++a) {
-    report.homophily_delta[a] = h1[a] - original.homophily[a];
-  }
-  return report;
-}
-
 UtilityReport EvaluateReleaseLegacy(const ReferenceProfile& original,
                                     const graph::AttributedGraph& released) {
   UtilityReport report;

@@ -22,13 +22,13 @@
 // The production path runs on immutable CsrGraph snapshots through the
 // fused evaluation kernel (graph/fused_eval.h): every per-node partial is
 // collected in two sweeps over the neighbor arrays (SIMD-dispatched,
-// sharded over `analytics_threads` workers; <= 0 selects hardware
-// concurrency) and the metric families derive from those partials through
-// the same formula tails the standalone kernels use — so results are
+// sharded over `analytics_threads` workers; <= 0 selects the available
+// cores) and the metric families derive from those partials through the
+// same formula tails the adjacency-list kernels use — so results are
 // bitwise-identical at any thread count and on either dispatch arm. The
-// EvaluateReleaseMultipassCsr and *Legacy variants keep the per-metric CSR
-// and adjacency-list paths alive as cross-check oracles for tests and the
-// perf bench — all three agree exactly, metric for metric.
+// *Legacy variants keep the adjacency-list path alive as the cross-check
+// oracle for tests and the perf bench; both agree exactly, metric for
+// metric.
 #pragma once
 
 #include <cstddef>
@@ -130,14 +130,6 @@ UtilityReport EvaluateRelease(const ReferenceProfile& original,
 /// kernels.
 UtilityReport EvaluateReleaseLegacy(const ReferenceProfile& original,
                                     const graph::AttributedGraph& released);
-
-/// The pre-fusion CSR implementation — one kernel pass per metric family
-/// over the snapshot (tests / perf bench only). Bitwise-identical to
-/// EvaluateRelease; bench_perf times the fused path against it for the
-/// fused_eval_speedup gate.
-UtilityReport EvaluateReleaseMultipassCsr(
-    const ReferenceProfile& original,
-    const graph::AttributedCsrGraph& released, int analytics_threads = 1);
 
 /// One-shot convenience: ProfileReference(original) + the overload above.
 /// The released graph may have a different attribute dimension than the

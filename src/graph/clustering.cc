@@ -8,9 +8,9 @@ namespace agmdp::graph {
 
 namespace {
 
-// Shared formula bodies: the Graph and CsrGraph entry points must stay
-// bitwise-identical (DESIGN.md snapshot contract), so each formula exists
-// exactly once, templated over the representation.
+// Shared formula bodies: the Graph kernels and the fused kernel's CsrGraph
+// tail must stay bitwise-identical (DESIGN.md snapshot contract), so each
+// formula exists exactly once, templated over the representation.
 
 template <typename AnyGraph>
 std::vector<double> CoefficientsFromTriangles(
@@ -38,9 +38,22 @@ double GlobalFromCounts(uint64_t triangles, uint64_t wedges) {
   return 3.0 * static_cast<double>(triangles) / static_cast<double>(wedges);
 }
 
-template <typename AnyGraph>
-std::vector<double> DegreeWiseFromCoefficients(
-    const AnyGraph& g, const std::vector<double>& coeffs) {
+}  // namespace
+
+std::vector<double> LocalClusteringCoefficients(const Graph& g) {
+  return CoefficientsFromTriangles(g, PerNodeTriangles(g));
+}
+
+double AverageLocalClustering(const Graph& g) {
+  return MeanCoefficient(LocalClusteringCoefficients(g));
+}
+
+double GlobalClusteringCoefficient(const Graph& g) {
+  return GlobalFromCounts(CountTriangles(g), CountWedges(g));
+}
+
+std::vector<double> DegreeWiseClustering(const Graph& g) {
+  const std::vector<double> coeffs = LocalClusteringCoefficients(g);
   std::vector<double> sum(g.MaxDegree() + 1, 0.0);
   std::vector<uint64_t> count(g.MaxDegree() + 1, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -51,46 +64,6 @@ std::vector<double> DegreeWiseFromCoefficients(
     if (count[d] > 0) sum[d] /= static_cast<double>(count[d]);
   }
   return sum;
-}
-
-}  // namespace
-
-std::vector<double> LocalClusteringCoefficients(const Graph& g) {
-  return CoefficientsFromTriangles(g, PerNodeTriangles(g));
-}
-
-std::vector<double> LocalClusteringCoefficients(const CsrGraph& g,
-                                                int threads) {
-  return CoefficientsFromTriangles(g, PerNodeTriangles(g, threads));
-}
-
-double AverageLocalClustering(const Graph& g) {
-  return MeanCoefficient(LocalClusteringCoefficients(g));
-}
-
-double AverageLocalClustering(const CsrGraph& g, int threads) {
-  return MeanCoefficient(LocalClusteringCoefficients(g, threads));
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  return GlobalFromCounts(CountTriangles(g), CountWedges(g));
-}
-
-double GlobalClusteringCoefficient(const CsrGraph& g, int threads) {
-  return GlobalFromCounts(CountTriangles(g, threads), CountWedges(g));
-}
-
-std::vector<double> DegreeWiseClustering(const Graph& g) {
-  return DegreeWiseFromCoefficients(g, LocalClusteringCoefficients(g));
-}
-
-std::vector<double> DegreeWiseClustering(const CsrGraph& g, int threads) {
-  return DegreeWiseFromCoefficients(g,
-                                    LocalClusteringCoefficients(g, threads));
-}
-
-ClusteringStats ComputeClusteringStats(const CsrGraph& g, int threads) {
-  return ClusteringStatsFromTriangles(g, PerNodeTriangles(g, threads));
 }
 
 ClusteringStats ClusteringStatsFromTriangles(
@@ -106,11 +79,6 @@ ClusteringStats ClusteringStatsFromTriangles(
   stats.avg_local_clustering = MeanCoefficient(stats.local_coefficients);
   stats.global_clustering = GlobalFromCounts(stats.triangles, stats.wedges);
   return stats;
-}
-
-std::vector<double> DegreeWiseClusteringFromCoefficients(
-    const CsrGraph& g, const std::vector<double>& coeffs) {
-  return DegreeWiseFromCoefficients(g, coeffs);
 }
 
 }  // namespace agmdp::graph

@@ -13,11 +13,27 @@ namespace internal {
 
 namespace {
 
+// Runs body(task, begin, end) over one contiguous, ceil-sized node range
+// per pool worker, covering [0, n); trailing ranges may be empty (n = 5 on
+// 4 workers: 2, 2, 1, 0). Each task owns its range's output slots and its
+// own tallies, so the batch result is independent of which worker ran
+// which task.
+template <typename Body>
+void RunNodeRanges(util::WorkerPool& pool, uint64_t n, Body&& body) {
+  const auto tasks = static_cast<uint64_t>(pool.num_workers());
+  const uint64_t chunk = (n + tasks - 1) / tasks;
+  pool.Run(static_cast<int>(tasks), [&](int task) {
+    const uint64_t begin = std::min(n, static_cast<uint64_t>(task) * chunk);
+    body(task, begin, std::min(n, begin + chunk));
+  });
+}
+
 // Forward orientation by the (degree, id) total order — the same order the
-// standalone triangle kernels rank by, built here by direct comparison so
-// no O(n log n) rank sort is needed. Counting and filling both touch only
-// slots their node range owns.
-ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g, int threads) {
+// adjacency-list triangle kernel ranks by, built here by direct comparison
+// so no O(n log n) rank sort is needed. Counting and filling both touch
+// only slots their node range owns.
+ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g,
+                                           util::WorkerPool& pool) {
   const NodeId n = g.num_nodes();
   ForwardAdjacency fwd;
   fwd.offsets.assign(static_cast<size_t>(n) + 1, 0);
@@ -25,7 +41,7 @@ ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g, int threads) {
     const uint32_t du = g.Degree(u), dv = g.Degree(v);
     return du != dv ? du < dv : u < v;
   };
-  util::ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
+  RunNodeRanges(pool, n, [&](int, uint64_t begin, uint64_t end) {
     for (uint64_t ui = begin; ui < end; ++ui) {
       const auto u = static_cast<NodeId>(ui);
       uint64_t count = 0;
@@ -37,7 +53,7 @@ ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g, int threads) {
   });
   for (NodeId u = 0; u < n; ++u) fwd.offsets[u + 1] += fwd.offsets[u];
   fwd.neighbors.resize(fwd.offsets[n]);
-  util::ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
+  RunNodeRanges(pool, n, [&](int, uint64_t begin, uint64_t end) {
     for (uint64_t ui = begin; ui < end; ++ui) {
       const auto u = static_cast<NodeId>(ui);
       NodeId* out = fwd.neighbors.data() + fwd.offsets[ui];
@@ -50,35 +66,29 @@ ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g, int threads) {
 }
 
 // Sweep B: per-node triangle counts, dispatched between the scalar and
-// AVX2 instantiations of the one shared body. Per-worker count arrays
-// merge by integer addition, so any partition yields the same counts.
-std::vector<uint64_t> FusedPerNodeTriangles(const CsrGraph& g, int threads,
+// AVX2 instantiations of the one shared body. Per-task count arrays merge
+// by integer addition, so any partition yields the same counts.
+std::vector<uint64_t> FusedPerNodeTriangles(const CsrGraph& g,
+                                            util::WorkerPool& pool,
                                             util::SimdIsa isa) {
   const NodeId n = g.num_nodes();
   std::vector<uint64_t> counts(n, 0);
   if (n == 0) return counts;
-  const ForwardAdjacency fwd = BuildDegreeOrderedForward(g, threads);
+  const ForwardAdjacency fwd = BuildDegreeOrderedForward(g, pool);
   const auto kernel = util::ResolveSimdIsa(isa) == util::SimdIsa::kAvx2
                           ? &TriangleCreditRangeAvx2
                           : &TriangleCreditRange<ScalarArch>;
-  struct Local {
-    std::vector<uint32_t> marks;
-    std::vector<uint64_t> counts;
-  };
-  util::ParallelTally(
-      n, threads,
-      [n] {
-        Local local;
-        local.marks.assign((static_cast<size_t>(n) + 31) / 32, 0);
-        local.counts.assign(n, 0);
-        return local;
-      },
-      [&](Local& local, uint64_t begin, uint64_t end) {
-        kernel(fwd, begin, end, local.marks.data(), local.counts.data());
-      },
-      [&](const Local& local) {
-        for (NodeId v = 0; v < n; ++v) counts[v] += local.counts[v];
-      });
+  std::vector<std::vector<uint64_t>> task_counts(pool.num_workers());
+  RunNodeRanges(pool, n, [&](int task, uint64_t begin, uint64_t end) {
+    if (begin == end) return;
+    std::vector<uint32_t> marks((static_cast<size_t>(n) + 31) / 32, 0);
+    std::vector<uint64_t>& local = task_counts[task];
+    local.assign(n, 0);
+    kernel(fwd, begin, end, marks.data(), local.data());
+  });
+  for (const std::vector<uint64_t>& local : task_counts) {
+    for (size_t v = 0; v < local.size(); ++v) counts[v] += local[v];
+  }
   return counts;
 }
 
@@ -86,18 +96,17 @@ std::vector<uint64_t> FusedPerNodeTriangles(const CsrGraph& g, int threads,
 // edge-level tally and the degree-assortativity partials. Integer tallies
 // merge order-free; the double partials land in slots owned by their
 // source node and reduce in node order afterwards — the exact chain of
-// the standalone assortativity kernel.
+// the adjacency-list assortativity kernel.
 struct SweepAResult {
   std::vector<uint64_t> degree_histogram;
   std::vector<uint64_t> mixing_counts;
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> joint_degree_counts;
   double sum_xy = 0.0;
   double sum_x = 0.0;
   double sum_x2 = 0.0;
 };
 
 SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
-                    const FusedOptions& opts) {
+                    util::WorkerPool& pool) {
   const NodeId n = g.num_nodes();
   SweepAResult result;
   result.degree_histogram.assign(static_cast<size_t>(g.MaxDegree()) + 1, 0);
@@ -105,61 +114,47 @@ SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
   result.mixing_counts.assign(static_cast<size_t>(k) * k, 0);
   std::vector<double> pxy(n), px(n), px2(n);
 
-  struct Local {
+  struct Tally {
     std::vector<uint64_t> hist;
     std::vector<uint64_t> mixing;
-    std::map<std::pair<uint32_t, uint32_t>, uint64_t> joint;
   };
-  util::ParallelTally(
-      n, opts.threads,
-      [&] {
-        Local local;
-        local.hist.assign(result.degree_histogram.size(), 0);
-        local.mixing.assign(result.mixing_counts.size(), 0);
-        return local;
-      },
-      [&](Local& local, uint64_t begin, uint64_t end) {
-        for (uint64_t ui = begin; ui < end; ++ui) {
-          const auto u = static_cast<NodeId>(ui);
-          const uint32_t du_int = g.Degree(u);
-          ++local.hist[du_int];
-          const double du = du_int;
-          double a = 0.0, b = 0.0, c = 0.0;
-          const NeighborRange range = g.Neighbors(u);
-          for (const NodeId* v =
-                   std::upper_bound(range.begin(), range.end(), u);
-               v != range.end(); ++v) {
-            const uint32_t dv_int = g.Degree(*v);
-            const double dv = dv_int;
-            a += 2.0 * du * dv;
-            b += du + dv;
-            c += du * du + dv * dv;
-            if (k != 0) {
-              const AttrConfig x = attrs[u], y = attrs[*v];
-              ++local.mixing[static_cast<size_t>(x) * k + y];
-              ++local.mixing[static_cast<size_t>(y) * k + x];
-            }
-            if (opts.joint_degree) {
-              ++local.joint[{std::min(du_int, dv_int),
-                             std::max(du_int, dv_int)}];
-            }
-          }
-          pxy[ui] = a;
-          px[ui] = b;
-          px2[ui] = c;
+  std::vector<Tally> tallies(pool.num_workers());
+  RunNodeRanges(pool, n, [&](int task, uint64_t begin, uint64_t end) {
+    Tally& local = tallies[task];
+    local.hist.assign(result.degree_histogram.size(), 0);
+    local.mixing.assign(result.mixing_counts.size(), 0);
+    for (uint64_t ui = begin; ui < end; ++ui) {
+      const auto u = static_cast<NodeId>(ui);
+      const uint32_t du_int = g.Degree(u);
+      ++local.hist[du_int];
+      const double du = du_int;
+      double a = 0.0, b = 0.0, c = 0.0;
+      const NeighborRange range = g.Neighbors(u);
+      for (const NodeId* v = std::upper_bound(range.begin(), range.end(), u);
+           v != range.end(); ++v) {
+        const double dv = g.Degree(*v);
+        a += 2.0 * du * dv;
+        b += du + dv;
+        c += du * du + dv * dv;
+        if (k != 0) {
+          const AttrConfig x = attrs[u], y = attrs[*v];
+          ++local.mixing[static_cast<size_t>(x) * k + y];
+          ++local.mixing[static_cast<size_t>(y) * k + x];
         }
-      },
-      [&](const Local& local) {
-        for (size_t i = 0; i < local.hist.size(); ++i) {
-          result.degree_histogram[i] += local.hist[i];
-        }
-        for (size_t i = 0; i < local.mixing.size(); ++i) {
-          result.mixing_counts[i] += local.mixing[i];
-        }
-        for (const auto& [key, count] : local.joint) {
-          result.joint_degree_counts[key] += count;
-        }
-      });
+      }
+      pxy[ui] = a;
+      px[ui] = b;
+      px2[ui] = c;
+    }
+  });
+  for (const Tally& local : tallies) {
+    for (size_t i = 0; i < local.hist.size(); ++i) {
+      result.degree_histogram[i] += local.hist[i];
+    }
+    for (size_t i = 0; i < local.mixing.size(); ++i) {
+      result.mixing_counts[i] += local.mixing[i];
+    }
+  }
   for (NodeId u = 0; u < n; ++u) {
     result.sum_xy += pxy[u];
     result.sum_x += px[u];
@@ -214,13 +209,16 @@ FusedStats FusedEvaluateImpl(const CsrGraph& g, const AttrConfig* attrs,
   stats.num_nodes = g.num_nodes();
   stats.num_edges = g.num_edges();
   const uint32_t k = num_attributes >= 0 ? NumNodeConfigs(num_attributes) : 0;
+  // One pool for all four batches; never more workers than nodes.
+  util::WorkerPool pool(static_cast<int>(std::min<uint64_t>(
+      util::ResolveThreadCount(opts.threads),
+      std::max<uint64_t>(stats.num_nodes, 1))));
 
-  SweepAResult sweep_a = SweepA(g, attrs, k, opts);
+  SweepAResult sweep_a = SweepA(g, attrs, k, pool);
   stats.degree_histogram = std::move(sweep_a.degree_histogram);
   stats.assort_sum_xy = sweep_a.sum_xy;
   stats.assort_sum_x = sweep_a.sum_x;
   stats.assort_sum_x2 = sweep_a.sum_x2;
-  stats.joint_degree_counts = std::move(sweep_a.joint_degree_counts);
 
   if (num_attributes >= 0) {
     stats.num_configs = k;
@@ -233,11 +231,7 @@ FusedStats FusedEvaluateImpl(const CsrGraph& g, const AttrConfig* attrs,
 
   if (opts.triangles) {
     stats.clustering = ClusteringStatsFromTriangles(
-        g, FusedPerNodeTriangles(g, opts.threads, opts.isa));
-    if (opts.degree_wise_clustering) {
-      stats.degree_wise_clustering = DegreeWiseClusteringFromCoefficients(
-          g, stats.clustering.local_coefficients);
-    }
+        g, FusedPerNodeTriangles(g, pool, opts.isa));
   }
   return stats;
 }

@@ -1,38 +1,36 @@
 // Fused analytics kernel over CSR snapshots (DESIGN.md "Fused evaluation
-// kernel") — the hot read path behind EvaluateRelease / ProfileReference /
-// Summarize and the Figure 2/3 series.
+// kernel") — the one read path behind EvaluateRelease / ProfileReference /
+// Summarize / ProfileGraph and the Figure 2/3 series. Every per-node
+// partial the Section 5.1 statistics need comes out of two sweeps over the
+// neighbor arrays:
 //
-// The per-metric kernels each make their own pass over the neighbor
-// arrays; an evaluation touches the edge list five to six times and sorts
-// the degree sequence on top. FusedEvaluate produces every per-node
-// partial those passes compute in just two sweeps:
-//
-//   Sweep A (one pass over the canonical edges, parallel node ranges):
-//     degree histogram, degree-assortativity per-node partials, the k x k
-//     ordered-endpoint attribute mixing tallies, and (optionally) the
-//     joint-degree tallies. Connection counts Q_F, per-attribute homophily
-//     tallies and Newman's attribute assortativity are all pure functions
-//     of the mixing tallies, so they cost no extra edge pass.
+//   Sweep A (one pass over the canonical edges):
+//     degree histogram, degree-assortativity per-node partials and the
+//     k x k ordered-endpoint attribute mixing tallies. Connection counts
+//     Q_F, per-attribute homophily tallies and Newman's attribute
+//     assortativity are all pure functions of the mixing tallies, so they
+//     cost no extra edge pass.
 //   Sweep B (optional, triangle family): per-node triangle counts via the
 //     mark-based forward-orientation kernel, from which the whole
 //     clustering family derives through the same shared formulas the
-//     standalone kernels use.
+//     adjacency-list kernels use.
 //
-// The innermost sweep-B loop is SIMD-dispatched (util/simd.h): the AVX2
-// arm gathers mark words for eight candidate corners at a time. Both arms
-// instantiate ONE templated body (fused_eval_impl.h), and only integer
-// operations are vectorized, so every field below is bitwise-identical
-// across scalar/AVX2 dispatch and across 1/2/4 threads:
-//   * integer tallies merge order-free;
-//   * double accumulations follow the PR-3 per-source-node-partial fixed
+// Both sweeps and the two passes that build sweep B's forward adjacency
+// run as batches of contiguous node ranges on one util::WorkerPool built
+// per call. The innermost sweep-B loop is SIMD-dispatched (util/simd.h):
+// the AVX2 arm gathers mark words for eight candidate corners at a time.
+// Both arms instantiate ONE templated body (fused_eval_impl.h), and only
+// integer operations are vectorized, so every field below is
+// bitwise-identical across scalar/AVX2 dispatch and across thread counts:
+//   * integer tallies merge order-free (per-task tallies, merged in task
+//     order after each batch);
+//   * double accumulations follow the per-source-node-partial fixed
 //     summation order (partials over ascending forward neighbors, reduced
-//     in node order) — identical to the legacy per-metric kernels, which
+//     in node order) — identical to the adjacency-list Graph kernels, which
 //     tests keep alive as the cross-check oracle.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "src/graph/clustering.h"
@@ -42,7 +40,8 @@
 namespace agmdp::graph {
 
 struct FusedOptions {
-  /// Worker count for both sweeps (<= 0 selects hardware concurrency).
+  /// Worker count for both sweeps (<= 0 selects the available cores,
+  /// util::AvailableConcurrency).
   int threads = 1;
   /// Dispatch arm for the vectorized inner loops; kAuto picks the best
   /// supported arm (tests pin each arm explicitly).
@@ -50,17 +49,13 @@ struct FusedOptions {
   /// Run sweep B (per-node triangles + clustering family). The dominant
   /// cost; profiles that only need edge-level statistics turn it off.
   bool triangles = true;
-  /// Also derive the degree-wise clustering profile c_d (needs triangles).
-  bool degree_wise_clustering = false;
-  /// Also tally the joint degree distribution (dK-2 support map).
-  bool joint_degree = false;
 };
 
 /// \brief Every statistic family of one evaluation pass, fused.
 ///
 /// Integer tallies are exact; derived doubles follow the same formula and
-/// summation chains as the standalone kernels (see file comment), so each
-/// field equals its per-metric counterpart bit-for-bit.
+/// summation chains as the adjacency-list kernels (see file comment), so
+/// each field equals its Graph counterpart bit-for-bit.
 struct FusedStats {
   uint64_t num_nodes = 0;
   uint64_t num_edges = 0;
@@ -76,13 +71,10 @@ struct FusedStats {
   double assort_sum_x = 0.0;
   double assort_sum_x2 = 0.0;
 
-  /// Triangle family (FusedOptions::triangles); matches
-  /// graph::ComputeClusteringStats field for field.
+  /// Triangle family (FusedOptions::triangles); matches PerNodeTriangles,
+  /// LocalClusteringCoefficients, CountTriangles, CountWedges,
+  /// AverageLocalClustering and GlobalClusteringCoefficient on the Graph.
   ClusteringStats clustering;
-
-  /// c_d profile (FusedOptions::degree_wise_clustering), ==
-  /// graph::DegreeWiseClustering.
-  std::vector<double> degree_wise_clustering;
 
   /// Attributed overload only: k = 2^w and the k x k row-major tallies
   /// over ordered edge endpoints (each edge counted once per direction).
@@ -95,10 +87,6 @@ struct FusedStats {
   /// graph::EncodeEdgeConfig (derived from the mixing tallies; ==
   /// agm::ComputeConnectionCounts as exact integers).
   std::vector<uint64_t> connection_counts;
-
-  /// Joint-degree tallies per unordered degree pair
-  /// (FusedOptions::joint_degree); counts, not mass.
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> joint_degree_counts;
 };
 
 /// Structure-only fusion: attribute fields stay empty.

@@ -6,13 +6,8 @@
 // the local sensitivity of the triangle count at an edge {u, v} is
 // |Γ(u) ∩ Γ(v)|, so its maximum over all node pairs is the graph's local
 // sensitivity.
-// The CsrGraph overloads are the parallel snapshot kernels: forward
-// adjacency ordered by (degree, id) rank for the triangle total, and
-// merge-joins on sorted neighbor ranges (instead of hash probes) for the
-// per-edge common-neighbor counts behind PerNodeTriangles. All counts are
-// integers, so any static work partition reduces to the same result —
-// bitwise-identical to the Graph path at every thread count (threads <= 0
-// selects hardware concurrency).
+// Snapshot (CsrGraph) triangle counts come from the fused analytics kernel
+// (fused_eval.h), which these Graph kernels cross-check in tests.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +20,6 @@ namespace agmdp::graph {
 
 /// Exact triangle count n∆.
 uint64_t CountTriangles(const Graph& g);
-uint64_t CountTriangles(const CsrGraph& g, int threads = 1);
 
 /// O(n^3) reference implementation (tests only; keep graphs tiny).
 uint64_t CountTrianglesBrute(const Graph& g);
@@ -37,7 +31,6 @@ uint64_t CountWedges(const CsrGraph& g);
 /// Per-node triangle participation counts (each triangle contributes one to
 /// each of its three corners).
 std::vector<uint64_t> PerNodeTriangles(const Graph& g);
-std::vector<uint64_t> PerNodeTriangles(const CsrGraph& g, int threads = 1);
 
 /// Exact max_{u != v} |Γ(u) ∩ Γ(v)| over all node pairs (only pairs at
 /// distance <= 2 can have a nonzero count, so the scan enumerates wedges).

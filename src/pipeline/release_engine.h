@@ -47,7 +47,7 @@ namespace agmdp::pipeline {
 /// The last three fields are read by the "agm" sampler only (the other
 /// mechanisms have no acceptance loop).
 struct EngineOptions {
-  /// Serving pool workers (0 = hardware concurrency, capped at the sampler
+  /// Serving pool workers (0 = the available cores, capped at the sampler
   /// shard count). The pool size never affects sampled bits. Ignored when
   /// `pool` is set.
   int threads = 0;

@@ -4,19 +4,19 @@
 // natural held-out statistics for judging whether AGM-DP preserved the
 // correlations it never directly optimized.
 //
-// Summation contract (shared by the Graph and CsrGraph paths so they agree
-// bitwise): floating-point edge terms accumulate into a per-source-node
-// partial over the node's ascending-sorted forward neighbors, and the
-// partials reduce sequentially in node order. The CsrGraph overloads
-// parallelize the per-node partials over `threads` workers (<= 0 selects
-// hardware concurrency); mixing-matrix and homophily tallies are integers,
-// so any partition reduces to the same result.
+// Summation contract (shared by these Graph kernels and the fused CSR
+// kernel, graph/fused_eval.h, so they agree bitwise): floating-point edge
+// terms accumulate into a per-source-node partial over the node's
+// ascending-sorted forward neighbors, and the partials reduce sequentially
+// in node order. Mixing-matrix and homophily tallies are integers, so any
+// partition of the fused kernel reduces to the same result.
 #pragma once
 
 #include <vector>
 
+#include <cstdint>
+
 #include "src/graph/attributed_graph.h"
-#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 
 namespace agmdp::stats {
@@ -24,27 +24,21 @@ namespace agmdp::stats {
 /// Pearson correlation of endpoint degrees over edges, in [-1, 1]. Returns
 /// 0 for degenerate graphs (no edges / constant degrees).
 double DegreeAssortativity(const graph::Graph& g);
-double DegreeAssortativity(const graph::CsrGraph& g, int threads = 1);
 
 /// Newman's discrete assortativity for the node attribute configuration:
 /// (tr(e) - sum(e^2)) / (1 - sum(e^2)) where e is the normalized mixing
 /// matrix over edges. 1 = perfect homophily, 0 = no correlation, negative =
 /// heterophily. Returns 0 for edgeless graphs or single-category mixes.
 double AttributeAssortativity(const graph::AttributedGraph& g);
-double AttributeAssortativity(const graph::AttributedCsrGraph& g,
-                              int threads = 1);
 
 /// Per-attribute homophily: for each of the w attribute bits, the fraction
 /// of edges whose endpoints agree on that bit. Length num_attributes();
 /// every entry is 0 for edgeless graphs.
 std::vector<double> PerAttributeHomophily(const graph::AttributedGraph& g);
-std::vector<double> PerAttributeHomophily(const graph::AttributedCsrGraph& g,
-                                          int threads = 1);
 
-// Finalizers shared with the fused kernel (graph/fused_eval.h): the fused
-// sweep produces the same node-order-reduced partial sums and integer
-// tallies the kernels above accumulate, and these tails turn either
-// source into the statistic through ONE formula body.
+// Finalizers of the fused kernel (graph/fused_eval.h): its sweep produces
+// the same node-order-reduced partial sums and integer tallies the kernels
+// above accumulate, and these tails share their formula bodies.
 
 /// Pearson correlation over the 2m ordered endpoint pairs from the three
 /// accumulated degree sums; 0 for edgeless or constant-degree graphs.

@@ -1,8 +1,7 @@
 #include "src/stats/joint_degree.h"
 
 #include <cmath>
-
-#include "src/util/parallel.h"
+#include <utility>
 
 namespace agmdp::stats {
 
@@ -32,9 +31,10 @@ double HellingerOfMaps(const JointDegreeMap& pa, const JointDegreeMap& pb) {
   return std::sqrt(sum) / std::sqrt(2.0);
 }
 
-}  // namespace
-
-JointDegreeMap JointDegreeDistribution(const graph::Graph& g) {
+// One serial body for both representations: +1.0 per canonical edge is
+// exact, so the masses are identical whichever graph type walks the edges.
+template <typename AnyGraph>
+JointDegreeMap JointDegreeDistributionImpl(const AnyGraph& g) {
   JointDegreeMap dist;
   if (g.num_edges() == 0) return dist;
   g.ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
@@ -47,34 +47,14 @@ JointDegreeMap JointDegreeDistribution(const graph::Graph& g) {
   return dist;
 }
 
-JointDegreeMap JointDegreeDistribution(const graph::CsrGraph& g,
-                                       int threads) {
-  JointDegreeMap dist;
-  if (g.num_edges() == 0) return dist;
-  const graph::NodeId n = g.num_nodes();
-  using CountMap = std::map<std::pair<uint32_t, uint32_t>, uint64_t>;
-  CountMap counts;
-  util::ParallelTally(
-      n, threads, [] { return CountMap(); },
-      [&](CountMap& local, uint64_t begin, uint64_t end) {
-        for (uint64_t ui = begin; ui < end; ++ui) {
-          const auto u = static_cast<graph::NodeId>(ui);
-          for (graph::NodeId v : g.Neighbors(u)) {
-            if (v <= u) continue;
-            uint32_t du = g.Degree(u), dv = g.Degree(v);
-            if (du > dv) std::swap(du, dv);
-            ++local[{du, dv}];
-          }
-        }
-      },
-      [&](const CountMap& local) {
-        for (const auto& [key, count] : local) counts[key] += count;
-      });
-  const double m = static_cast<double>(g.num_edges());
-  for (const auto& [key, count] : counts) {
-    dist[key] = static_cast<double>(count) / m;
-  }
-  return dist;
+}  // namespace
+
+JointDegreeMap JointDegreeDistribution(const graph::Graph& g) {
+  return JointDegreeDistributionImpl(g);
+}
+
+JointDegreeMap JointDegreeDistribution(const graph::CsrGraph& g) {
+  return JointDegreeDistributionImpl(g);
 }
 
 double JointDegreeDistance(const graph::Graph& a, const graph::Graph& b) {
@@ -82,10 +62,10 @@ double JointDegreeDistance(const graph::Graph& a, const graph::Graph& b) {
                          JointDegreeDistribution(b));
 }
 
-double JointDegreeDistance(const graph::CsrGraph& a, const graph::CsrGraph& b,
-                           int threads) {
-  return HellingerOfMaps(JointDegreeDistribution(a, threads),
-                         JointDegreeDistribution(b, threads));
+double JointDegreeDistance(const graph::CsrGraph& a,
+                           const graph::CsrGraph& b) {
+  return HellingerOfMaps(JointDegreeDistribution(a),
+                         JointDegreeDistribution(b));
 }
 
 }  // namespace agmdp::stats

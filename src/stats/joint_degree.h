@@ -3,10 +3,8 @@
 // Pygmalion / dK-graph line of related work (Sala et al.) models directly;
 // here it serves as another held-out fidelity metric for synthetic graphs
 // (AGM-DP never optimizes it).
-// The CsrGraph overloads parallelize the per-edge tally over `threads`
-// workers (<= 0 selects hardware concurrency); tallies are integers keyed
-// by degree pair, so merged maps are identical at any thread count and the
-// distributions agree exactly with the Graph path.
+// Both representations run one serial body over the canonical edges, so
+// the Graph and CsrGraph overloads agree exactly.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +21,11 @@ namespace agmdp::stats {
 std::map<std::pair<uint32_t, uint32_t>, double> JointDegreeDistribution(
     const graph::Graph& g);
 std::map<std::pair<uint32_t, uint32_t>, double> JointDegreeDistribution(
-    const graph::CsrGraph& g, int threads = 1);
+    const graph::CsrGraph& g);
 
 /// Hellinger distance between the dK-2 series of two graphs (union of
 /// supports; in [0, 1]).
 double JointDegreeDistance(const graph::Graph& a, const graph::Graph& b);
-double JointDegreeDistance(const graph::CsrGraph& a, const graph::CsrGraph& b,
-                           int threads = 1);
+double JointDegreeDistance(const graph::CsrGraph& a, const graph::CsrGraph& b);
 
 }  // namespace agmdp::stats

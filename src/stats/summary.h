@@ -20,7 +20,7 @@ struct GraphSummary {
 };
 
 /// Table 6 columns of a snapshot, with the triangle work parallelized over
-/// `threads` workers (<= 0 selects hardware concurrency).
+/// `threads` workers (<= 0 selects the available cores).
 GraphSummary Summarize(const graph::CsrGraph& g, int threads = 1);
 
 /// Fixed-width single-line rendering, e.g. for Table 6 style output.

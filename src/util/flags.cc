@@ -1,5 +1,6 @@
 #include "src/util/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -23,6 +24,19 @@ Flags Flags::Parse(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+Status Flags::RejectUnknown(const std::vector<std::string>& accepted) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end()) {
+      continue;
+    }
+    std::string message = "unknown flag --" + name + "; accepted:";
+    if (accepted.empty()) message += " none";
+    for (const std::string& a : accepted) message += " --" + a;
+    return Status::InvalidArgument(message);
+  }
+  return Status::OK();
 }
 
 bool Flags::Has(const std::string& name) const {

@@ -3,7 +3,8 @@
 // Supports "--name=value" plus bare boolean "--name" (the space-separated
 // form is deliberately unsupported: without a flag registry it is ambiguous
 // against positional arguments). Non-flag arguments are collected as
-// positionals.
+// positionals. Parsing accepts any flag name; RejectUnknown lets a caller
+// that declares its flag set refuse the rest.
 #pragma once
 
 #include <map>
@@ -44,6 +45,12 @@ class Flags {
   /// (empty tokens are dropped).
   std::vector<std::string> GetStringList(
       const std::string& name, const std::vector<std::string>& fallback) const;
+
+  /// Strict mode for front ends that declare their flags: the first parsed
+  /// flag not in `accepted` is a typed InvalidArgument naming it and
+  /// listing the accepted ones ("--artifakt=F" must not silently fall
+  /// back to the default of "--artifact").
+  Status RejectUnknown(const std::vector<std::string>& accepted) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

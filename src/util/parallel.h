@@ -1,19 +1,15 @@
-// Deterministic parallelism utilities — the ONE threading layer of the
+// Deterministic parallelism utility — the ONE threading layer of the
 // library (DESIGN.md "Determinism contract" / "Hot-path memory layout").
 //
-// Two execution styles share it:
-//   * ParallelNodeRanges / ParallelTally — spawn-per-call static partitions
-//     for the read-only analytics kernels: work is split into contiguous
-//     ranges of [0, n); every output slot is written by exactly one range,
-//     and floating-point reductions happen OUTSIDE this helper,
-//     sequentially, in a fixed order.
-//   * WorkerPool — a persistent pool for the sampler hot path, where a
-//     single AGM sample dispatches many small task batches (one sharded
-//     proposal pass plus one Θ'F measurement per acceptance iteration) and
-//     spawn-per-call thread creation would dominate the batch cost.
+// WorkerPool is a persistent pool dispatching indexed task batches. The
+// sampler hot path shares one across many small batches (one sharded
+// proposal pass plus one Θ'F measurement per acceptance iteration); the
+// fused analytics kernel builds one per call and runs its four phases as
+// batches of contiguous node ranges, merging per-task tallies in task
+// order and reducing floating-point partials in node order itself.
 //
-// Neither style owns any util::Rng: randomness, when present, comes from
-// fixed per-task substreams chosen by the caller, so results are
+// The pool owns no util::Rng: randomness, when present, comes from fixed
+// per-task substreams chosen by the caller, so results are
 // bitwise-identical at any thread count.
 #pragma once
 
@@ -60,48 +56,6 @@ inline int AvailableConcurrency() {
 inline int ResolveThreadCount(int threads) {
   if (threads > 0) return threads;
   return AvailableConcurrency();
-}
-
-/// Invokes fn(begin, end) over contiguous ranges covering [0, n), on up to
-/// `threads` workers (resolved via ResolveThreadCount; capped at n). fn must
-/// only write to slots its range owns, or accumulate into order-insensitive
-/// (integer) totals; it runs inline when one worker suffices.
-template <typename Fn>
-void ParallelNodeRanges(uint64_t n, int threads, Fn&& fn) {
-  const uint64_t workers =
-      std::min<uint64_t>(static_cast<uint64_t>(ResolveThreadCount(threads)), n);
-  if (workers <= 1) {
-    if (n > 0) fn(uint64_t{0}, n);
-    return;
-  }
-  const uint64_t chunk = (n + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint64_t w = 1; w < workers; ++w) {
-    const uint64_t begin = w * chunk;
-    const uint64_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([begin, end, &fn] { fn(begin, end); });
-  }
-  fn(uint64_t{0}, std::min(n, chunk));
-  for (std::thread& worker : pool) worker.join();
-}
-
-/// Per-worker tallies merged under one lock: every worker range builds
-/// `make_local()`, fills it via `body(local, begin, end)`, and `merge(local)`
-/// folds it into the caller's shared total — the lock lives here, so tally
-/// kernels cannot forget it. Integer tallies merge order-insensitively,
-/// making the result identical at any thread count.
-template <typename MakeLocal, typename Body, typename Merge>
-void ParallelTally(uint64_t n, int threads, MakeLocal&& make_local,
-                   Body&& body, Merge&& merge) {
-  std::mutex merge_mutex;
-  ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
-    auto local = make_local();
-    body(local, begin, end);
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    merge(local);
-  });
 }
 
 /// \brief Persistent worker pool dispatching indexed task batches.

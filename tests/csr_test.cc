@@ -1,23 +1,23 @@
 // CsrGraph snapshot layer: FromGraph round-trip equivalence against the
-// mutable Graph, edge cases (empty / star / complete), and the determinism
-// contract of the parallel analytics kernels — every metric computed via
-// the snapshot must be bitwise-identical to the legacy adjacency-list path,
-// and identical across 1/2/4 analytics threads.
+// mutable Graph, edge cases (empty / star / complete), the serial snapshot
+// reads (wedges, degree and dK-2 distributions, BFS) against the
+// adjacency-list path, and the determinism contract of the evaluation
+// entry points — every metric computed via the snapshot must be
+// bitwise-identical to the legacy adjacency-list path, and identical
+// across 1/2/4 analytics threads. The fused kernel's triangle family is
+// checked against the brute-force oracle in fused_eval_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "src/agm/theta_f.h"
 #include "src/eval/utility_report.h"
 #include "src/graph/attributed_graph.h"
-#include "src/graph/clustering.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/graph.h"
 #include "src/graph/paths.h"
 #include "src/graph/triangle_count.h"
-#include "src/stats/assortativity.h"
 #include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
@@ -58,11 +58,7 @@ TEST(CsrGraphTest, EmptyGraph) {
   EXPECT_EQ(csr.num_nodes(), 0u);
   EXPECT_EQ(csr.num_edges(), 0u);
   EXPECT_EQ(csr.MaxDegree(), 0u);
-  EXPECT_EQ(CountTriangles(csr), 0u);
   EXPECT_EQ(CountWedges(csr), 0u);
-  EXPECT_TRUE(PerNodeTriangles(csr).empty());
-  EXPECT_TRUE(LocalClusteringCoefficients(csr).empty());
-  EXPECT_EQ(AverageLocalClustering(csr), 0.0);
 }
 
 TEST(CsrGraphTest, EdgelessGraph) {
@@ -88,7 +84,6 @@ TEST(CsrGraphTest, StarGraph) {
     EXPECT_TRUE(csr.HasEdge(v, 0));
   }
   EXPECT_FALSE(csr.HasEdge(1, 2));
-  EXPECT_EQ(CountTriangles(csr), 0u);
   EXPECT_EQ(CountWedges(csr), 10u);  // C(5, 2) at the center
   EXPECT_EQ(csr.CommonNeighborCount(1, 2), 1u);  // the center
   EXPECT_EQ(csr.CommonNeighborCount(0, 1), 0u);
@@ -102,15 +97,13 @@ TEST(CsrGraphTest, CompleteGraph) {
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   EXPECT_EQ(csr.num_edges(), 15u);
-  EXPECT_EQ(CountTriangles(csr), 20u);  // C(6, 3)
   for (NodeId u = 0; u < n; ++u) {
     EXPECT_EQ(csr.Degree(u), n - 1);
     for (NodeId v = 0; v < n; ++v) {
       EXPECT_EQ(csr.HasEdge(u, v), u != v);
     }
   }
-  const std::vector<double> cc = LocalClusteringCoefficients(csr);
-  for (double c : cc) EXPECT_EQ(c, 1.0);
+  EXPECT_EQ(CountWedges(csr), 60u);  // 6 * C(5, 2)
 }
 
 TEST(CsrGraphTest, RoundTripMatchesGraph) {
@@ -151,67 +144,21 @@ TEST(CsrGraphTest, ForEachEdgeIsCanonicalOrder) {
 
 // ----------------------------------------------------------- kernels --
 
-TEST(CsrKernelsTest, TriangleKernelsMatchLegacyAtEveryThreadCount) {
-  const Graph g = RandomGraph(60, 0.12, 13);
-  const CsrGraph csr = CsrGraph::FromGraph(g);
-  const uint64_t brute = CountTrianglesBrute(g);
-  EXPECT_EQ(CountTriangles(g), brute);
-  const std::vector<uint64_t> per_node = PerNodeTriangles(g);
-  EXPECT_EQ(CountWedges(csr), CountWedges(g));
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(CountTriangles(csr, threads), brute);
-    EXPECT_EQ(PerNodeTriangles(csr, threads), per_node);
-  }
-}
-
-TEST(CsrKernelsTest, ClusteringBitwiseEqualAtEveryThreadCount) {
-  const Graph g = RandomGraph(60, 0.12, 14);
-  const CsrGraph csr = CsrGraph::FromGraph(g);
-  const std::vector<double> cc = LocalClusteringCoefficients(g);
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(LocalClusteringCoefficients(csr, threads), cc);
-    EXPECT_EQ(AverageLocalClustering(csr, threads),
-              AverageLocalClustering(g));
-    EXPECT_EQ(GlobalClusteringCoefficient(csr, threads),
-              GlobalClusteringCoefficient(g));
-    EXPECT_EQ(DegreeWiseClustering(csr, threads), DegreeWiseClustering(g));
-  }
-}
-
-TEST(CsrKernelsTest, ClusteringStatsBundleMatchesStandaloneKernels) {
-  const Graph g = RandomGraph(60, 0.12, 18);
-  const CsrGraph csr = CsrGraph::FromGraph(g);
-  for (int threads : {1, 2, 4}) {
-    const ClusteringStats stats = ComputeClusteringStats(csr, threads);
-    EXPECT_EQ(stats.per_node_triangles, PerNodeTriangles(g));
-    EXPECT_EQ(stats.local_coefficients, LocalClusteringCoefficients(g));
-    EXPECT_EQ(stats.triangles, CountTriangles(g));
-    EXPECT_EQ(stats.wedges, CountWedges(g));
-    EXPECT_EQ(stats.global_clustering, GlobalClusteringCoefficient(g));
-  }
-}
-
-TEST(CsrKernelsTest, StatsBitwiseEqualAtEveryThreadCount) {
+TEST(CsrKernelsTest, SerialStatsMatchLegacy) {
   const AttributedGraph g = RandomAttributed(70, 0.1, 3, 15);
   const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
   const Graph& s = g.structure();
   const CsrGraph& csr = snapshot.structure;
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(stats::DegreeAssortativity(csr, threads),
-              stats::DegreeAssortativity(s));
-    EXPECT_EQ(stats::AttributeAssortativity(snapshot, threads),
-              stats::AttributeAssortativity(g));
-    EXPECT_EQ(stats::PerAttributeHomophily(snapshot, threads),
-              stats::PerAttributeHomophily(g));
-    EXPECT_EQ(stats::JointDegreeDistribution(csr, threads),
-              stats::JointDegreeDistribution(s));
-    EXPECT_EQ(agm::ComputeConnectionCounts(snapshot, threads),
-              agm::ComputeConnectionCounts(g));
-    EXPECT_EQ(agm::ComputeThetaF(snapshot, threads), agm::ComputeThetaF(g));
-  }
+  EXPECT_EQ(CountWedges(csr), CountWedges(s));
   EXPECT_EQ(stats::DegreeDistribution(csr), stats::DegreeDistribution(s));
+  EXPECT_EQ(stats::JointDegreeDistribution(csr),
+            stats::JointDegreeDistribution(s));
   EXPECT_EQ(stats::JointDegreeDistance(csr, csr),
             stats::JointDegreeDistance(s, s));
+  const AttributedGraph other = RandomAttributed(50, 0.15, 3, 17);
+  EXPECT_EQ(stats::JointDegreeDistance(
+                csr, CsrGraph::FromGraph(other.structure())),
+            stats::JointDegreeDistance(s, other.structure()));
 }
 
 TEST(CsrKernelsTest, BfsAndPathStatsMatchLegacy) {

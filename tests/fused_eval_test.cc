@@ -1,9 +1,11 @@
-// Fused evaluation kernel (graph/fused_eval.h): randomized differential
-// tests against the per-metric CSR kernels and the legacy adjacency-list
-// kernels. Every FusedStats field must be bitwise-identical to its
-// standalone counterpart across 1/2/4 analytics threads and on BOTH
-// dispatch arms (scalar and, where the host supports it, AVX2) — the
-// determinism contract DESIGN.md promises for the production eval path.
+// Fused evaluation kernel (graph/fused_eval.h): randomized and edge-case
+// differential tests against the adjacency-list Graph kernels (and the
+// brute-force triangle count). Every FusedStats field must be
+// bitwise-identical to its Graph counterpart across 1/2/4 analytics
+// threads and on BOTH dispatch arms (scalar and, where the host supports
+// it, AVX2) — the determinism contract DESIGN.md promises for the
+// production eval path — and pools with more workers than nodes (empty
+// task ranges) must agree with the 1-thread result.
 // Also covers the histogram-based finalizers (KS / CCDF / degree
 // distribution) and the vectorized Hellinger primitive against their
 // expanded scalar forms.
@@ -26,7 +28,6 @@
 #include "src/graph/triangle_count.h"
 #include "src/stats/assortativity.h"
 #include "src/stats/ccdf.h"
-#include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
@@ -82,6 +83,27 @@ std::vector<uint32_t> ExpandHistogram(const std::vector<uint64_t>& hist) {
   return values;
 }
 
+// Every FusedStats field, compared bitwise.
+void ExpectSameStats(const FusedStats& a, const FusedStats& b) {
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.num_edges, b.num_edges);
+  EXPECT_EQ(a.degree_histogram, b.degree_histogram);
+  EXPECT_EQ(a.assort_sum_xy, b.assort_sum_xy);
+  EXPECT_EQ(a.assort_sum_x, b.assort_sum_x);
+  EXPECT_EQ(a.assort_sum_x2, b.assort_sum_x2);
+  EXPECT_EQ(a.clustering.per_node_triangles, b.clustering.per_node_triangles);
+  EXPECT_EQ(a.clustering.local_coefficients, b.clustering.local_coefficients);
+  EXPECT_EQ(a.clustering.triangles, b.clustering.triangles);
+  EXPECT_EQ(a.clustering.wedges, b.clustering.wedges);
+  EXPECT_EQ(a.clustering.avg_local_clustering,
+            b.clustering.avg_local_clustering);
+  EXPECT_EQ(a.clustering.global_clustering, b.clustering.global_clustering);
+  EXPECT_EQ(a.num_configs, b.num_configs);
+  EXPECT_EQ(a.mixing_counts, b.mixing_counts);
+  EXPECT_EQ(a.homophily_counts, b.homophily_counts);
+  EXPECT_EQ(a.connection_counts, b.connection_counts);
+}
+
 // The (n, p, w) grid every differential test sweeps: empty, singleton,
 // attribute-free, and ER graphs of growing size and attribute dimension.
 struct GridCase {
@@ -94,23 +116,26 @@ const GridCase kGrid[] = {
     {40, 0.15, 1}, {80, 0.08, 3}, {120, 0.05, 5},
 };
 
-// ------------------------------------------- fused vs per-metric kernels --
+// --------------------------------------------- fused vs Graph kernels --
 
 TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
   for (const GridCase& c : kGrid) {
     const AttributedGraph legacy = RandomAttributed(c.n, c.p, c.w, 31 + c.n);
     const AttributedCsrGraph g = AttributedCsrGraph::FromGraph(legacy);
-    const CsrGraph& csr = g.structure;
+    const Graph& s = legacy.structure();
 
-    // Per-metric oracles (computed once; all deterministic).
-    const std::vector<uint64_t> hist = DegreeHistogram(csr);
-    const ClusteringStats clustering = ComputeClusteringStats(csr);
-    const std::vector<double> degree_wise = DegreeWiseClustering(csr);
-    const double degree_assort = stats::DegreeAssortativity(legacy.structure());
+    // Adjacency-list oracles (computed once; all deterministic).
+    const std::vector<uint64_t> hist = DegreeHistogram(s);
+    const std::vector<uint64_t> per_node = PerNodeTriangles(s);
+    const std::vector<double> local = LocalClusteringCoefficients(s);
+    const uint64_t triangles = CountTriangles(s);
+    const uint64_t wedges = CountWedges(s);
+    const double avg_clustering = AverageLocalClustering(s);
+    const double global_clustering = GlobalClusteringCoefficient(s);
+    const double degree_assort = stats::DegreeAssortativity(s);
     const double attr_assort = stats::AttributeAssortativity(legacy);
     const std::vector<double> homophily = stats::PerAttributeHomophily(legacy);
     const std::vector<double> connection = agm::ComputeConnectionCounts(legacy);
-    const auto joint = stats::JointDegreeDistribution(csr);
 
     for (util::SimdIsa isa : TestableArms()) {
       for (int threads : {1, 2, 4}) {
@@ -120,25 +145,18 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
         FusedOptions opts;
         opts.threads = threads;
         opts.isa = isa;
-        opts.degree_wise_clustering = true;
-        opts.joint_degree = true;
         const FusedStats fused = FusedEvaluate(g, opts);
 
-        EXPECT_EQ(fused.num_nodes, csr.num_nodes());
-        EXPECT_EQ(fused.num_edges, csr.num_edges());
+        EXPECT_EQ(fused.num_nodes, s.num_nodes());
+        EXPECT_EQ(fused.num_edges, s.num_edges());
         EXPECT_EQ(fused.degree_histogram, hist);
 
-        EXPECT_EQ(fused.clustering.per_node_triangles,
-                  clustering.per_node_triangles);
-        EXPECT_EQ(fused.clustering.local_coefficients,
-                  clustering.local_coefficients);
-        EXPECT_EQ(fused.clustering.triangles, clustering.triangles);
-        EXPECT_EQ(fused.clustering.wedges, clustering.wedges);
-        EXPECT_EQ(fused.clustering.avg_local_clustering,
-                  clustering.avg_local_clustering);
-        EXPECT_EQ(fused.clustering.global_clustering,
-                  clustering.global_clustering);
-        EXPECT_EQ(fused.degree_wise_clustering, degree_wise);
+        EXPECT_EQ(fused.clustering.per_node_triangles, per_node);
+        EXPECT_EQ(fused.clustering.local_coefficients, local);
+        EXPECT_EQ(fused.clustering.triangles, triangles);
+        EXPECT_EQ(fused.clustering.wedges, wedges);
+        EXPECT_EQ(fused.clustering.avg_local_clustering, avg_clustering);
+        EXPECT_EQ(fused.clustering.global_clustering, global_clustering);
 
         EXPECT_EQ(stats::DegreeAssortativityFromSums(
                       fused.assort_sum_xy, fused.assort_sum_x,
@@ -159,32 +177,90 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
         EXPECT_EQ(agm::ThetaFFromConnectionCounts(fused.connection_counts,
                                                   fused.num_edges),
                   agm::ComputeThetaF(legacy));
-
-        // Joint-degree tallies normalize to the dK-2 mass map exactly.
-        std::map<std::pair<uint32_t, uint32_t>, double> fused_joint;
-        const double m = static_cast<double>(fused.num_edges);
-        for (const auto& [key, count] : fused.joint_degree_counts) {
-          fused_joint[key] = static_cast<double>(count) / m;
-        }
-        EXPECT_EQ(fused_joint, joint);
       }
     }
   }
 }
 
+// The snapshot edge cases — empty, edgeless, star, the K6 clique — plus
+// two random graphs, with the triangle family checked against the
+// brute-force O(n^3) count and the Graph kernels.
+TEST(FusedEvalTest, EdgeCasesMatchBruteForceOnEveryArmAndThreadCount) {
+  Graph star(6);  // center 0, leaves 1..5
+  for (NodeId v = 1; v < 6; ++v) star.AddEdge(0, v);
+  Graph clique(6);
+  for (NodeId u = 0; u < 6; ++u) {
+    for (NodeId v = u + 1; v < 6; ++v) clique.AddEdge(u, v);
+  }
+  const Graph cases[] = {Graph(),  Graph(7), star, clique,
+                         RandomGraph(60, 0.12, 13), RandomGraph(60, 0.12, 14)};
+  for (const Graph& g : cases) {
+    const CsrGraph csr = CsrGraph::FromGraph(g);
+    const uint64_t brute = CountTrianglesBrute(g);
+    for (util::SimdIsa isa : TestableArms()) {
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << g.num_nodes() << " m=" << g.num_edges()
+                     << " threads=" << threads
+                     << " isa=" << util::SimdIsaName(isa));
+        FusedOptions opts;
+        opts.threads = threads;
+        opts.isa = isa;
+        const ClusteringStats c = FusedEvaluate(csr, opts).clustering;
+        EXPECT_EQ(c.triangles, brute);
+        EXPECT_EQ(c.per_node_triangles, PerNodeTriangles(g));
+        EXPECT_EQ(c.local_coefficients, LocalClusteringCoefficients(g));
+        EXPECT_EQ(c.wedges, CountWedges(g));
+        EXPECT_EQ(c.avg_local_clustering, AverageLocalClustering(g));
+        EXPECT_EQ(c.global_clustering, GlobalClusteringCoefficient(g));
+      }
+    }
+  }
+  const ClusteringStats k6 = FusedEvaluate(CsrGraph::FromGraph(clique))
+                                 .clustering;
+  EXPECT_EQ(k6.triangles, 20u);  // C(6, 3)
+  for (double c : k6.local_coefficients) EXPECT_EQ(c, 1.0);
+  const ClusteringStats empty =
+      FusedEvaluate(CsrGraph::FromGraph(Graph())).clustering;
+  EXPECT_TRUE(empty.per_node_triangles.empty());
+  EXPECT_TRUE(empty.local_coefficients.empty());
+  EXPECT_EQ(empty.avg_local_clustering, 0.0);
+}
+
+// Thread counts above the node count (the pool is capped at n workers)
+// and ceil-sized ranges that leave a trailing task empty (n = 5 on 4
+// workers) must contribute nothing beyond the 1-thread result.
+TEST(FusedEvalTest, PoolsWiderThanTheGraphMatchOneThread) {
+  for (NodeId n : {NodeId{0}, NodeId{1}, NodeId{3}, NodeId{5}}) {
+    const AttributedGraph legacy = RandomAttributed(n, 0.9, 2, 40 + n);
+    const AttributedCsrGraph g = AttributedCsrGraph::FromGraph(legacy);
+    const FusedStats serial = FusedEvaluate(g);
+    for (int threads : {4, 8}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      FusedOptions opts;
+      opts.threads = threads;
+      ExpectSameStats(FusedEvaluate(g, opts), serial);
+      ExpectSameStats(FusedEvaluate(g.structure, opts),
+                      FusedEvaluate(g.structure));
+    }
+  }
+}
+
 TEST(FusedEvalTest, StructureOverloadSkipsAttributeFamilies) {
-  const CsrGraph csr = CsrGraph::FromGraph(RandomGraph(60, 0.1, 77));
+  const Graph s = RandomGraph(60, 0.1, 77);
+  const CsrGraph csr = CsrGraph::FromGraph(s);
   const FusedStats fused = FusedEvaluate(csr);
   EXPECT_EQ(fused.num_configs, 0u);
   EXPECT_TRUE(fused.mixing_counts.empty());
   EXPECT_TRUE(fused.homophily_counts.empty());
   EXPECT_TRUE(fused.connection_counts.empty());
   EXPECT_EQ(fused.degree_histogram, DegreeHistogram(csr));
-  EXPECT_EQ(fused.clustering.triangles, CountTriangles(csr));
+  EXPECT_EQ(fused.clustering.triangles, CountTriangles(s));
 }
 
 TEST(FusedEvalTest, TrianglesOffLeavesClusteringEmpty) {
-  const CsrGraph csr = CsrGraph::FromGraph(RandomGraph(50, 0.12, 78));
+  const Graph s = RandomGraph(50, 0.12, 78);
+  const CsrGraph csr = CsrGraph::FromGraph(s);
   FusedOptions opts;
   opts.triangles = false;
   const FusedStats fused = FusedEvaluate(csr, opts);
@@ -196,11 +272,11 @@ TEST(FusedEvalTest, TrianglesOffLeavesClusteringEmpty) {
   EXPECT_EQ(stats::DegreeAssortativityFromSums(
                 fused.assort_sum_xy, fused.assort_sum_x, fused.assort_sum_x2,
                 fused.num_edges),
-            stats::DegreeAssortativity(csr));
+            stats::DegreeAssortativity(s));
 }
 
 // Direct arm-vs-arm comparison of the whole struct on a denser graph (the
-// oracle loop above already pins each arm to the scalar kernels; this one
+// oracle loop above already pins each arm to the Graph kernels; this one
 // fails loudly if the arms ever diverge from EACH OTHER).
 TEST(FusedEvalTest, DispatchArmsProduceIdenticalStats) {
   const std::vector<util::SimdIsa> arms = TestableArms();
@@ -210,31 +286,15 @@ TEST(FusedEvalTest, DispatchArmsProduceIdenticalStats) {
   const AttributedCsrGraph g =
       AttributedCsrGraph::FromGraph(RandomAttributed(150, 0.08, 4, 91));
   FusedOptions opts;
-  opts.degree_wise_clustering = true;
-  opts.joint_degree = true;
   opts.isa = arms[0];
   const FusedStats a = FusedEvaluate(g, opts);
   opts.isa = arms[1];
-  const FusedStats b = FusedEvaluate(g, opts);
-  EXPECT_EQ(a.degree_histogram, b.degree_histogram);
-  EXPECT_EQ(a.assort_sum_xy, b.assort_sum_xy);
-  EXPECT_EQ(a.assort_sum_x, b.assort_sum_x);
-  EXPECT_EQ(a.assort_sum_x2, b.assort_sum_x2);
-  EXPECT_EQ(a.clustering.per_node_triangles, b.clustering.per_node_triangles);
-  EXPECT_EQ(a.clustering.local_coefficients, b.clustering.local_coefficients);
-  EXPECT_EQ(a.clustering.wedges, b.clustering.wedges);
-  EXPECT_EQ(a.clustering.avg_local_clustering, b.clustering.avg_local_clustering);
-  EXPECT_EQ(a.clustering.global_clustering, b.clustering.global_clustering);
-  EXPECT_EQ(a.degree_wise_clustering, b.degree_wise_clustering);
-  EXPECT_EQ(a.mixing_counts, b.mixing_counts);
-  EXPECT_EQ(a.homophily_counts, b.homophily_counts);
-  EXPECT_EQ(a.connection_counts, b.connection_counts);
-  EXPECT_EQ(a.joint_degree_counts, b.joint_degree_counts);
+  ExpectSameStats(a, FusedEvaluate(g, opts));
 }
 
 // ------------------------------------------------- full evaluation stack --
 
-TEST(FusedEvalTest, EvaluateReleaseAgreesWithBothOraclesOnEveryArm) {
+TEST(FusedEvalTest, EvaluateReleaseAgreesWithLegacyOracleOnEveryArm) {
   const AttributedGraph original = RandomAttributed(80, 0.08, 3, 51);
   const AttributedGraph released = RandomAttributed(70, 0.1, 2, 52);
   const AttributedCsrGraph released_csr =
@@ -260,11 +320,7 @@ TEST(FusedEvalTest, EvaluateReleaseAgreesWithBothOraclesOnEveryArm) {
 
       const auto flat_fused =
           eval::EvaluateRelease(ref, released_csr, threads).Flatten();
-      const auto flat_multipass =
-          eval::EvaluateReleaseMultipassCsr(ref, released_csr, threads)
-              .Flatten();
       EXPECT_EQ(flat_fused, flat_legacy);
-      EXPECT_EQ(flat_multipass, flat_legacy);
     }
   }
 }

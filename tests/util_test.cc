@@ -434,6 +434,22 @@ TEST(FlagsTest, CheckedGettersRejectMalformedValues) {
   EXPECT_FALSE(flags.GetCheckedInt("samples", 1).ok());
 }
 
+TEST(FlagsTest, RejectUnknownNamesTheFlagAndTheAcceptedSet) {
+  const char* argv[] = {"prog", "--artifakt=x", "--seed=3", "pos"};
+  Flags flags = Flags::Parse(4, const_cast<char**>(argv));
+  const Status st = flags.RejectUnknown({"artifact", "seed"});
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--artifakt"), std::string::npos);
+  EXPECT_NE(st.message().find("--artifact"), std::string::npos);
+  EXPECT_NE(st.message().find("--seed"), std::string::npos);
+  // Declared flags and positionals pass; an empty set rejects any flag.
+  EXPECT_TRUE(flags.RejectUnknown({"artifakt", "seed"}).ok());
+  EXPECT_FALSE(flags.RejectUnknown({}).ok());
+  const char* bare[] = {"prog", "pos"};
+  EXPECT_TRUE(Flags::Parse(2, const_cast<char**>(bare)).RejectUnknown({}).ok());
+}
+
 // ------------------------------------------------------ New status codes --
 
 TEST(StatusTest, ResourceExhaustedAndUnavailableRoundTrip) {

@@ -27,9 +27,7 @@
 //              samples by --serve-threads; with N = 1, --threads still
 //              sets the intra-sample sampler workers. --cold disables the
 //              calibrated warm start (full per-sample acceptance loop).
-//              The artifact is the only stored form of a release: the
-//              removed raw-params flags (fit --params-out, sample
-//              --params) exit 2 naming --artifact-out / --artifact.
+//              The artifact is the only stored form of a release.
 //   synthesize --in=PREFIX --epsilon=0.69 --out=PREFIX2 [--model=NAME]
 //              [--threads=T]
 //              fit + sample in one step, with stage timings.
@@ -124,9 +122,13 @@
 // cores) — output is identical for a given seed at any thread count. An unknown subcommand
 // exits non-zero with the closest-matching suggestion.
 //
+// Each subcommand accepts exactly the flags listed for it above; any other
+// flag exits 2 with an error naming it and the accepted set.
+//
 // Exit codes: 0 success, 1 runtime failure (a fit/sample/serve step
-// returned an error), 2 usage error (unknown subcommand, malformed or
-// out-of-range flag value, unreadable input named on the command line).
+// returned an error), 2 usage error (unknown subcommand, unknown flag,
+// malformed or out-of-range flag value, unreadable input named on the
+// command line).
 #include <unistd.h>
 
 #include <algorithm>
@@ -385,24 +387,7 @@ int CmdGenerate(const util::Flags& flags) {
   return 0;
 }
 
-/// The raw-params text file predates release artifacts and is gone.
-/// util::Flags ignores unknown flags, so a script still passing the old
-/// flag must fail loudly — `sample --params=F` would otherwise serve
-/// whatever artifact sits at the default path.
-util::Status RejectRemovedFlag(const util::Flags& flags, const char* removed,
-                               const char* replacement) {
-  if (!flags.Has(removed)) return util::Status::OK();
-  return util::Status::InvalidArgument(
-      std::string("--") + removed +
-      " was removed: the release artifact is the only stored release; use --" +
-      replacement + "=FILE");
-}
-
 int CmdFit(const util::Flags& flags) {
-  if (auto st = RejectRemovedFlag(flags, "params-out", "artifact-out");
-      !st.ok()) {
-    return FailUsage(st);
-  }
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
@@ -434,9 +419,6 @@ int CmdFit(const util::Flags& flags) {
 }
 
 int CmdSample(const util::Flags& flags) {
-  if (auto st = RejectRemovedFlag(flags, "params", "artifact"); !st.ok()) {
-    return FailUsage(st);
-  }
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
@@ -606,8 +588,7 @@ int CmdEvaluate(const util::Flags& flags) {
                             released, analytics_threads);
   std::printf("dK-2 Hellinger    %.4f\n",
               stats::JointDegreeDistance(original.structure,
-                                         released.structure,
-                                         analytics_threads));
+                                         released.structure));
   for (const auto& [name, value] : report.Flatten()) {
     std::printf("%-28s %+.4f\n", name.c_str(), value);
   }
@@ -1149,6 +1130,59 @@ int CmdExport(const util::Flags& flags) {
   return 0;
 }
 
+/// The flags each subcommand reads; any other flag exits 2 naming it (a
+/// misspelt --artifact would otherwise serve the default-path artifact).
+/// Null for an unknown subcommand.
+const std::vector<std::string>* AcceptedFlags(const std::string& command) {
+  static const std::vector<std::string> kConfig = {
+      "epsilon",          "mechanism", "model",        "k-anonymity",
+      "t-closeness",      "community-blocks",          "threads",
+      "accept_iters",     "truncation_k"};
+  static const std::vector<std::string> kRegistry = {
+      "registry", "dataset-cap", "dataset-caps", "no-registry-fsync"};
+  const auto join = [](std::vector<std::string> a,
+                       const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  static const std::vector<std::pair<std::string, std::vector<std::string>>>
+      kTable = {
+          {"generate", {"dataset", "scale", "seed", "out"}},
+          {"fit", join(kConfig, {"in", "seed", "artifact-out"})},
+          {"sample",
+           join(kConfig, {"artifact", "samples", "serve-threads",
+                          "refine_iters", "refine-iters", "cold", "seed",
+                          "out"})},
+          {"synthesize", join(kConfig, {"in", "seed", "out"})},
+          {"models", {}},
+          {"stats", {"in", "analytics-threads", "seed", "bfs_samples"}},
+          {"evaluate", {"in", "synthetic", "analytics-threads"}},
+          {"sweep",
+           {"datasets", "scale", "mechanisms", "models", "eps", "repeats",
+            "seed", "threads", "sampler-threads", "accept_iters",
+            "analytics-threads", "reuse-fit", "reuse_fit", "out",
+            "no-timing"}},
+          {"serve",
+           join(kRegistry,
+                {"host", "port", "workers", "engine-threads", "queue",
+                 "cache-mb", "tenant-budget", "budgets", "no-batching",
+                 "read-timeout-ms", "idle-timeout-ms", "write-timeout-ms",
+                 "port-file"})},
+          {"client",
+           {"port", "op", "host", "tenant", "name", "artifact", "dataset",
+            "samples", "seed", "sequence", "refine_iters", "out",
+            "timeout-ms", "retries"}},
+          {"registry", join(kRegistry, {"artifact", "dataset", "name"})},
+          {"convert", {"in", "out", "page-size"}},
+          {"info", {"in"}},
+          {"export", {"in", "out"}},
+      };
+  for (const auto& [name, accepted] : kTable) {
+    if (name == command) return &accepted;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1161,6 +1195,11 @@ int main(int argc, char** argv) {
   util::Flags flags = util::Flags::Parse(argc - 1, argv + 1);
   if (command == "help" || command == "--help" || command == "-h") {
     return CmdHelp();
+  }
+  if (const std::vector<std::string>* accepted = AcceptedFlags(command)) {
+    if (auto st = flags.RejectUnknown(*accepted); !st.ok()) {
+      return FailUsage(st);
+    }
   }
   if (command == "generate") return CmdGenerate(flags);
   if (command == "fit") return CmdFit(flags);
